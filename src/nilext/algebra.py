@@ -24,12 +24,11 @@ class Algebra:
         self.table = [[list(vec) for vec in row] for row in table]
         self.label = label
         self.params = dict(params or {})
-        z = field.zero
         self._nonzero = {}  # (i, j) -> ((k, c), ...) over the nonzero c
         for i in range(n):
             for j in range(n):
                 terms = tuple((k, c) for k, c in enumerate(self.table[i][j])
-                              if c != z)
+                              if c)
                 if terms:
                     self._nonzero[(i, j)] = terms
         self._cache = {}
@@ -49,7 +48,7 @@ class Algebra:
         out = [z] * self.dim
         for (i, j), terms in self._nonzero.items():
             c = x[i] * y[j]
-            if c != z:
+            if c:
                 for k, s in terms:
                     out[k] = out[k] + c * s
         return out
@@ -170,14 +169,14 @@ class Algebra:
                 for k in range(n):
                     row = [z] * (n * n)
                     for c in range(n):
-                        if cij[c] != z:
+                        if cij[c]:
                             row[k * n + c] = row[k * n + c] + cij[c]
                     for r in range(n):
                         crjk = self.table[r][j][k]
-                        if crjk != z:
+                        if crjk:
                             row[r * n + i] = row[r * n + i] - crjk
                         cirk = self.table[i][r][k]
-                        if cirk != z:
+                        if cirk:
                             row[r * n + j] = row[r * n + j] - cirk
                     if not is_zero_vec(f, row):
                         rows.append(row)

@@ -50,17 +50,16 @@ class BilinearForm:
         f = self.field
         acc = f.zero
         for i, xi in enumerate(x):
-            if xi == f.zero:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
                 g = self.gram.rows[i][j]
-                if yj != f.zero and g != f.zero:
+                if yj and g:
                     acc = acc + xi * g * yj
         return acc
 
     def is_zero(self):
-        z = self.field.zero
-        return all(v == z for v in self.flatten())
+        return not any(self.flatten())
 
     def __add__(self, other):
         return BilinearForm(self.field, self.gram + other.gram)
@@ -88,7 +87,7 @@ def render_form(theta: BilinearForm) -> str:
     for i in range(theta.dim):
         for j in range(theta.dim):
             c = theta.gram.rows[i][j]
-            if c == f.zero:
+            if not c:
                 continue
             atom = "D(%d,%d)" % (i + 1, j + 1)
             if c == f.one:
@@ -191,7 +190,7 @@ def coboundary(a: Algebra, functional) -> BilinearForm:
             acc = f.zero
             for k in range(n):
                 c = a.table[i][j][k]
-                if c != f.zero and functional[k] != f.zero:
+                if c and functional[k]:
                     acc = acc + functional[k] * c
             g[i][j] = acc
     return BilinearForm(f, g)

@@ -24,7 +24,7 @@ def vec_scale(c, a):
 
 
 def is_zero_vec(field, a):
-    return all(x == field.zero for x in a)
+    return not any(a)
 
 
 class Matrix:
@@ -74,7 +74,7 @@ class Matrix:
                 for j in range(other.ncols):
                     acc = z
                     for k, a in enumerate(r):
-                        if a != z:
+                        if a:
                             acc = acc + a * other.rows[k][j]
                     row.append(acc)
                 out.append(row)
@@ -88,7 +88,7 @@ class Matrix:
         for r in self.rows:
             acc = z
             for a, x in zip(r, vec):
-                if a != z and x != z:
+                if a and x:
                     acc = acc + a * x
             out.append(acc)
         return out
@@ -121,7 +121,7 @@ class Matrix:
         for c in range(self.ncols):
             pr = None
             for i in range(r, len(rows)):
-                if rows[i][c] != f.zero:
+                if rows[i][c]:
                     pr = i
                     break
             if pr is None:
@@ -130,7 +130,7 @@ class Matrix:
             inv = f.one / rows[r][c]
             rows[r] = [inv * x for x in rows[r]]
             for i in range(len(rows)):
-                if i != r and rows[i][c] != f.zero:
+                if i != r and rows[i][c]:
                     rows[i] = vec_sub(rows[i], vec_scale(rows[i][c], rows[r]))
             pivots.append(c)
             r += 1
@@ -216,8 +216,8 @@ class Subspace:
         f = self.field
         v = list(vec)
         for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x != f.zero)
-            if v[lead] != f.zero:
+            lead = next(i for i, x in enumerate(b) if x)
+            if v[lead]:
                 v = vec_sub(v, vec_scale(v[lead], b))
         return is_zero_vec(f, v)
 
@@ -227,10 +227,10 @@ class Subspace:
         v = list(vec)
         coords = []
         for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x != f.zero)
+            lead = next(i for i, x in enumerate(b) if x)
             c = v[lead]
             coords.append(c)
-            if c != f.zero:
+            if c:
                 v = vec_sub(v, vec_scale(c, b))
         return coords if is_zero_vec(f, v) else None
 

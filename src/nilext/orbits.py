@@ -46,7 +46,7 @@ class AutFamily:
 
     def specialize(self, field, env) -> Matrix:
         for nm in self.nonzero:
-            assert env[nm] != field.zero, "%s must be nonzero" % nm
+            assert env[nm], "%s must be nonzero" % nm
         rows = [[e.evaluate(field, env) for e in row] for row in self.entries]
         m = Matrix(field, rows)
         assert m.is_invertible(), "specialized family member is singular"
@@ -160,7 +160,7 @@ def verify_isomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
 
 
 def _normalize_line(f, coords):
-    lead = next((c for c in coords if c != f.zero), None)
+    lead = next((c for c in coords if c), None)
     assert lead is not None
     inv = f.one / lead
     return tuple(inv * c for c in coords)
@@ -205,7 +205,7 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     elements = f.elements()
     lines = []
     for tup in product(elements, repeat=r):
-        if all(c == f.zero for c in tup):
+        if not any(tup):
             continue
         if _normalize_line(f, tup) == tup:
             lines.append(tup)
@@ -291,7 +291,7 @@ def witness_extension_iso(a: Algebra, coh: CohomologyBasis, rep_coords,
     sol = solve_linear(Matrix.from_cols(f, cols), pulled.flatten())
     assert sol is not None, "pulled form must match the member mod coboundaries"
     c, fun = sol[0], sol[1:]
-    assert c != f.zero
+    assert c
     rows = [list(phi.rows[i]) + [f.zero] for i in range(n)]
     rows.append(list(fun) + [c])
     return Matrix(f, rows)
@@ -340,7 +340,7 @@ def _to_prime_field(a: Algebra, p: int):
 
     try:
         return a.change_field(f, conv)
-    except (ValueError, AssertionError):
+    except ValueError:
         return None
 
 
@@ -381,7 +381,7 @@ def iso_search(a: Algebra, b: Algebra, grid=None, primes=_DEFAULT_PRIMES,
                     lhs = b.multiply(imgs[i], imgs[j])
                     rhs = [f.zero] * n
                     for k, c in enumerate(coeffs[i][j]):
-                        if c != f.zero:
+                        if c:
                             for m in range(n):
                                 rhs[m] = rhs[m] + c * imgs[k][m]
                     if lhs != rhs:

@@ -35,11 +35,15 @@ class Cyc12:
 
     def __init__(self, coeffs):
         cs = tuple(Fraction(c) for c in coeffs)
-        assert len(cs) == 4
+        if len(cs) != 4:
+            raise ValueError("Cyc12 needs 4 coordinates, got %d" % len(cs))
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc12 is immutable")
+
+    def __reduce__(self):
+        return Cyc12, (self.coeffs,)
 
     @classmethod
     def from_rational(cls, q) -> "Cyc12":
@@ -95,7 +99,8 @@ class Cyc12:
 
     def galois(self, k: int) -> "Cyc12":
         """Apply the automorphism z -> z^k (k coprime to 12)."""
-        assert k % 12 in (1, 5, 7, 11)
+        if k % 12 not in (1, 5, 7, 11):
+            raise ValueError("z -> z^%d is not an automorphism" % k)
         acc = [Fraction(0)] * 4
         for j, a in enumerate(self.coeffs):
             if a:
@@ -105,7 +110,8 @@ class Cyc12:
         return Cyc12(acc)
 
     def inverse(self) -> "Cyc12":
-        assert any(self.coeffs), "division by zero"
+        if not any(self.coeffs):
+            raise ZeroDivisionError("division by zero in QZ12")
         conj = self.galois(5) * self.galois(7) * self.galois(11)
         norm = self * conj
         assert norm.coeffs[1] == 0 and norm.coeffs[2] == 0 and norm.coeffs[3] == 0
@@ -125,7 +131,8 @@ class Cyc12:
         return other * self.inverse()
 
     def __pow__(self, n: int):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative int, not %r" % (n,))
         out = Cyc12.from_rational(1)
         base = self
         while n:
@@ -142,7 +149,10 @@ class Cyc12:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("Cyc12", self.coeffs))
+        """A rational element hashes like the Fraction (or int) it equals."""
+        if self.is_rational():
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -151,7 +161,8 @@ class Cyc12:
         return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational(), "element has nonrational part"
+        if not self.is_rational():
+            raise ValueError("element has nonrational part")
         return self.coeffs[0]
 
     def __repr__(self):
@@ -190,7 +201,8 @@ def render_cyc(x: Cyc12) -> str:
 
 def parse_cyc(s: str) -> Cyc12:
     s = s.replace(" ", "")
-    assert s, "empty cyclotomic literal"
+    if not s:
+        raise ValueError("empty cyclotomic literal")
     # split into signed terms at top level (the format has no parentheses)
     terms = []
     cur = ""
@@ -213,7 +225,8 @@ def parse_cyc(s: str) -> Cyc12:
             coef = coef.rstrip("*")
             c = Fraction(coef) if coef else Fraction(1)
             k = int(tail[1:]) if tail.startswith("^") else (1 if tail == "" else None)
-            assert k is not None, "bad power in %r" % s
+            if k is None:
+                raise ValueError("bad power in %r" % s)
             acc = acc + Cyc12.zpower(k) * (sign * c)
         else:
             acc = acc + Fraction(t) * sign
@@ -221,78 +234,136 @@ def parse_cyc(s: str) -> Cyc12:
 
 
 class FpElt:
-    """Element of F_p."""
+    """Element of F_p, for p in 2, 3, 5 and 7.
 
-    __slots__ = ("v", "p")
+    Elements are interned: there is exactly one object per (p, residue),
+    built at import, and ``FpElt(v, p)`` returns it. Each element holds its
+    row of the addition and multiplication tables, its negative and its
+    inverse, so same-field arithmetic is a tuple index and same-field
+    equality is identity.
+
+    ``==`` against an int or Fraction compares its reduction mod p, so
+    ``FpElt(1, 2) == 3`` holds. The hash is the residue ``v``, so only the
+    reduced residues 0..p-1 hash like the ints they equal. Elements of
+    different primes are unequal, and arithmetic between them raises
+    TypeError.
+    """
+
+    __slots__ = ("v", "p", "_add", "_mul", "_neg", "_inv")
+
+    def __new__(cls, v: int, p: int):
+        try:
+            return _FP[p][v % p]
+        except KeyError:
+            raise ValueError("no prime field F%s" % (p,)) from None
 
     def __init__(self, v: int, p: int):
-        object.__setattr__(self, "v", v % p)
-        object.__setattr__(self, "p", p)
+        """Nothing to set: ``__new__`` returns a finished element."""
 
     def __setattr__(self, name, value):
         raise AttributeError("FpElt is immutable")
 
+    def __reduce__(self):
+        return FpElt, (self.v, self.p)
+
     def _coerce(self, other):
+        """other as an element of this field; None for a foreign type."""
         if isinstance(other, FpElt):
-            assert other.p == self.p
+            if other.p != self.p:
+                raise TypeError("cannot combine elements of F%d and F%d"
+                                % (self.p, other.p))
             return other
         if isinstance(other, int):
-            return FpElt(other, self.p)
+            return _FP[self.p][other % self.p]
         if isinstance(other, Fraction):
-            return FpElt(other.numerator, self.p) / FpElt(other.denominator, self.p)
+            return _fp_from_fraction(other, self.p)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElt(self.v + o.v, self.p)
+        o = (other if other.__class__ is FpElt and other.p == self.p
+             else self._coerce(other))
+        return NotImplemented if o is None else self._add[o.v]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FpElt(-self.v, self.p)
+        return self._neg
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElt(self.v - o.v, self.p)
+        o = (other if other.__class__ is FpElt and other.p == self.p
+             else self._coerce(other))
+        return NotImplemented if o is None else self._add[o._neg.v]
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else FpElt(o.v - self.v, self.p)
+        return NotImplemented if o is None else o._add[self._neg.v]
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElt(self.v * o.v, self.p)
+        o = (other if other.__class__ is FpElt and other.p == self.p
+             else self._coerce(other))
+        return NotImplemented if o is None else self._mul[o.v]
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FpElt":
-        assert self.v, "division by zero"
-        return FpElt(pow(self.v, self.p - 2, self.p), self.p)
+        if self._inv is None:
+            raise ZeroDivisionError("division by zero in F%d" % self.p)
+        return self._inv
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
+        o = (other if other.__class__ is FpElt and other.p == self.p
+             else self._coerce(other))
+        return NotImplemented if o is None else self._mul[o.inverse().v]
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
+        return NotImplemented if o is None else o._mul[self.inverse().v]
 
     def __pow__(self, n: int):
-        assert isinstance(n, int) and n >= 0
-        return FpElt(pow(self.v, n, self.p), self.p)
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative int, not %r" % (n,))
+        return _FP[self.p][pow(self.v, n, self.p)]
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.v == o.v)
+        if isinstance(other, FpElt):
+            return other is self
+        try:
+            o = self._coerce(other)
+        except ValueError:  # a Fraction with no value mod p
+            return False
+        return NotImplemented if o is None else o is self
 
     def __hash__(self):
-        return hash(("Fp", self.p, self.v))
+        return self.v
 
     def __bool__(self):
         return self.v != 0
 
     def __repr__(self):
         return "%d mod %d" % (self.v, self.p)
+
+
+def _prime_field_elements(p):
+    """The p interned elements of F_p, with their table rows filled in."""
+    elts = tuple(object.__new__(FpElt) for _ in range(p))
+    for v, e in enumerate(elts):
+        for name, value in (
+                ("v", v), ("p", p),
+                ("_add", tuple(elts[(v + w) % p] for w in range(p))),
+                ("_mul", tuple(elts[v * w % p] for w in range(p))),
+                ("_neg", elts[-v % p]),
+                ("_inv", elts[pow(v, p - 2, p)] if v else None)):
+            object.__setattr__(e, name, value)
+    return elts
+
+
+_FP = {p: _prime_field_elements(p) for p in (2, 3, 5, 7)}
+
+
+def _fp_from_fraction(q: Fraction, p: int) -> FpElt:
+    if q.denominator % p == 0:
+        raise ValueError("%s has no value mod %d" % (q, p))
+    return _FP[p][q.numerator * pow(q.denominator, -1, p) % p]
 
 
 class RationalField:
@@ -354,7 +425,8 @@ class CyclotomicField12:
 
 class PrimeField:
     def __init__(self, p: int):
-        assert p in (2, 3, 5, 7)
+        if p not in _FP:
+            raise ValueError("no prime field F%s" % (p,))
         self.p = p
         self.name = "F%d" % p
         self.zero = FpElt(0, p)
@@ -364,15 +436,14 @@ class PrimeField:
         return FpElt(n, self.p)
 
     def from_fraction(self, q) -> FpElt:
-        q = Fraction(q)
-        assert q.denominator % self.p != 0, "denominator not invertible mod %d" % self.p
-        return FpElt(q.numerator, self.p) / FpElt(q.denominator, self.p)
+        return _fp_from_fraction(Fraction(q), self.p)
 
     def parse(self, s: str) -> FpElt:
         s = s.strip()
         if "mod" in s:
             v, _, p = s.partition("mod")
-            assert int(p) == self.p
+            if int(p) != self.p:
+                raise ValueError("%r is not an element of F%d" % (s, self.p))
             return FpElt(int(v), self.p)
         return self.from_fraction(Fraction(s))
 
@@ -404,7 +475,8 @@ QZ12 = FIELDS["QZ12"]
 
 def roots_of_unity(field, n: int):
     """All solutions of x^n = 1 in the field, for n dividing 12."""
-    assert n in (1, 2, 3, 4, 6, 12)
+    if n not in (1, 2, 3, 4, 6, 12):
+        raise ValueError("n = %r does not divide 12" % (n,))
     if isinstance(field, RationalField):
         return [Fraction(1)] if n % 2 else [Fraction(1), Fraction(-1)]
     if isinstance(field, CyclotomicField12):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 from nilext import catalog, tables
@@ -141,6 +142,10 @@ def test_census_f2_smallest_base():
     assert census.lines_total == 2 ** 7 - 1
     assert sum(census.class_counts.values()) == census.lines_total
     assert sum(o.size for o in census.orbits) == census.lines_total
+    clone = copy.deepcopy(census)
+    assert [(o.line_class, o.rep, o.members, o.witnesses) for o in clone.orbits] \
+        == [(o.line_class, o.rep, o.members, o.witnesses) for o in census.orbits]
+    assert all(c is f2.one or c is f2.zero for o in clone.orbits for c in o.rep)
 
 
 def test_orbit_witnesses_reach_members():

@@ -15,6 +15,8 @@ def test_poly_arithmetic():
     assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
     assert not (p - p)
     assert p
+    for q in (p, p - p, x - x + 1, MultiPoly.const(0), y / 3, x * 0):
+        assert bool(q) == (q != POLY_RING.zero)
 
 
 def test_poly_constant_division():

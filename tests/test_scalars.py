@@ -1,7 +1,17 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
-from nilext.scalars import FIELDS, QQ, QZ12, PrimeField, roots_of_unity
+import pytest
+
+from nilext.scalars import (FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField,
+                            roots_of_unity)
+
+PRIMES = (2, 3, 5, 7)
 
 
 def test_field_axioms_random():
@@ -19,6 +29,7 @@ def test_field_axioms_random():
             assert a + f.zero == a
             assert a * f.one == a
             assert a + (-a) == f.zero
+            assert bool(a) == (a != f.zero)
             if b != f.zero:
                 assert b * (f.one / b) == f.one
 
@@ -37,6 +48,107 @@ def test_prime_field_basics():
     assert f.from_int(9) == f.from_int(2)
     assert f.from_fraction(Fraction(1, 2)) == f.from_int(4)
     assert f.from_int(3) ** 6 == f.one
+
+
+def test_fp_tables_match_integer_arithmetic():
+    for p in PRIMES:
+        for a in range(p):
+            x = FpElt(a, p)
+            assert (x.v, x.p) == (a, p)
+            assert FpElt(a + 7 * p, p) is x and FpElt(a - 3 * p, p) is x
+            assert (-x).v == -a % p
+            if a:
+                assert x.inverse().v * a % p == 1
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            for n in range(2 * p):
+                assert (x ** n).v == pow(a, n, p)
+            for b in range(p):
+                y = FpElt(b, p)
+                assert (x + y).v == (a + b) % p
+                assert (x - y).v == (a - b) % p
+                assert (x * y).v == a * b % p
+                assert (x == y) == (a == b)
+                if b:
+                    assert (x / y).v * b % p == a
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+                assert (a + y).v == (a + b) % p and (a - y).v == (a - b) % p
+                assert (a * y).v == a * b % p
+
+
+def test_hash_agrees_with_equality():
+    assert 1 in {QZ12.one} and Fraction(1, 2) in {QZ12.from_fraction(Fraction(1, 2))}
+    assert QZ12.one in {1} and QZ12.zeta not in {1}
+    assert 1 in {FpElt(1, 2)} and FpElt(1, 2) in {1}
+    assert FpElt(1, 2) == 3 and FpElt(2, 3) == Fraction(1, 2)
+    assert FpElt(1, 2) != Fraction(1, 2)
+    for p in PRIMES:
+        for v in range(p):
+            assert FpElt(v, p) == v and hash(FpElt(v, p)) == hash(v)
+            assert FpElt(v, p) == Fraction(v) and hash(FpElt(v, p)) == hash(Fraction(v))
+            for q in PRIMES:
+                if q != p:
+                    x, y = FpElt(v, p), FpElt(v, q)
+                    assert x != y and not x == y
+                    for op in (lambda s, t: s + t, lambda s, t: s - t,
+                               lambda s, t: s * t, lambda s, t: s / t):
+                        with pytest.raises(TypeError):
+                            op(x, FpElt(1, q))
+
+
+def test_field_elements_pickle_and_copy():
+    rng = random.Random(13)
+    for name, f in sorted(FIELDS.items()):
+        for _ in range(20):
+            a = f.random(rng)
+            for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+                assert b == a and hash(b) == hash(a)
+                if isinstance(a, FpElt):
+                    assert b is a
+    c = QZ12.omega
+    assert pickle.loads(pickle.dumps([c, c]))[1] == c
+
+
+def test_validation_survives_python_O():
+    code = """
+from fractions import Fraction
+from nilext import catalog
+from nilext.orbits import _to_prime_field
+from nilext.scalars import QZ12, FpElt, PrimeField, parse_cyc
+
+def raises(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return
+    raise SystemExit("%s%r did not raise %s" % (fn.__name__, args, exc.__name__))
+
+assert not __debug__
+raises(ValueError, PrimeField(2).from_fraction, Fraction(1, 2))
+raises(ValueError, PrimeField(3).parse, "1 mod 5")
+raises(ValueError, PrimeField(5).parse, "x mod 5")
+raises(ValueError, PrimeField, 11)
+raises(ValueError, FpElt, 1, 4)
+raises(ValueError, parse_cyc, "")
+raises(ValueError, parse_cyc, "z^")
+raises(ZeroDivisionError, PrimeField(2).zero.inverse)
+raises(ZeroDivisionError, QZ12.zero.inverse)
+raises(ZeroDivisionError, lambda: QZ12.one / 0)
+a = catalog.instantiate("N4_43", {"alpha": Fraction(1), "beta": Fraction(1)})
+if _to_prime_field(a, 2) is not None:
+    raise SystemExit("N4_43 has a -1/2 entry and no F2 reduction")
+assert _to_prime_field(a, 3) is not None
+print("ok")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr + out.stdout
 
 
 def test_cyclotomic_relations():
