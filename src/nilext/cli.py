@@ -219,7 +219,7 @@ def cmd_extend(args):
                             render_form(theta) + "]")
     try:
         split = is_split(a, [theta])
-    except AssertionError:
+    except ValueError:
         split = None
     facts = _instance_facts(ext)
     if args.format == "structured":
@@ -337,6 +337,11 @@ def cmd_verify_catalog(args):
     return 0 if report.ok else 1
 
 
+MAX_SEARCH_HELP = ("bound on the candidates of a search, the values per "
+                   "coordinate to the power dim x generators; the pruned "
+                   "search visits fewer nodes")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="nilext",
@@ -356,7 +361,8 @@ def build_parser():
                            help='form literal, e.g. "D(1,3)" or "2*N(1)+N(4)"')
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
-        p.add_argument("--max-search", type=int, default=300000)
+        p.add_argument("--max-search", type=int, default=300000,
+                       help=MAX_SEARCH_HELP)
 
     p = sub.add_parser("info", help="show a catalog entry")
     p.add_argument("id")
@@ -398,7 +404,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "structured"),
                    default="text")
-    p.add_argument("--max-search", type=int, default=300000)
+    p.add_argument("--max-search", type=int, default=300000,
+                   help=MAX_SEARCH_HELP)
     p.set_defaults(run=cmd_verify_catalog)
     return ap
 

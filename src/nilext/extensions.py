@@ -367,8 +367,9 @@ def is_split(a: Algebra, thetas) -> bool:
     """Whether the extension decomposes; requires the forms' shared radical
     to miss the annihilator."""
     ann = a.annihilator("both")
-    assert theta_perp(a, thetas).intersect(ann).dim == 0, \
-        "splitness test needs trivial shared radical in the annihilator"
+    if theta_perp(a, thetas).intersect(ann).dim:
+        raise ValueError("splitness test needs trivial shared radical in the "
+                         "annihilator")
     b2 = b2_space(a)
     span = b2
     for th in thetas:

@@ -42,9 +42,8 @@ class Identity:
 
     def __post_init__(self):
         for _, w in self.terms:
-            vs = sorted(_word_vars(w, []))
-            assert vs == list(range(self.arity)), \
-                "identity %s is not multilinear" % self.name
+            if sorted(_word_vars(w, [])) != list(range(self.arity)):
+                raise ValueError("identity %s is not multilinear" % self.name)
 
     def render(self) -> str:
         bits = []

@@ -46,10 +46,12 @@ class AutFamily:
 
     def specialize(self, field, env) -> Matrix:
         for nm in self.nonzero:
-            assert env[nm], "%s must be nonzero" % nm
+            if not env[nm]:
+                raise ValueError("%s must be nonzero" % nm)
         rows = [[e.evaluate(field, env) for e in row] for row in self.entries]
         m = Matrix(field, rows)
-        assert m.is_invertible(), "specialized family member is singular"
+        if not m.is_invertible():
+            raise ValueError("specialized family member is singular")
         return m
 
     def poly_matrix(self) -> Matrix:
@@ -102,29 +104,72 @@ def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
     return True, "exact match mod coboundaries"
 
 
-def aut_group_fp(a: Algebra, max_search=300000):
-    """All automorphisms of an algebra over a prime field, by exhausting
-    images of a greedy generating set."""
-    f = a.field
-    elements = f.elements()
-    p = len(elements)
+def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
+    """Invertible homomorphisms a -> b with generator images in domain^dim,
+    in the order product(domain, ...) lists them. Image coordinates are bound
+    one at a time; each condition phi(v_i)phi(v_j) = phi(v_i v_j) on the
+    scheme's values v, unless v_i v_j is itself a tree, is tested once the
+    last coordinate it can involve, over-approximated from b's nonzero
+    structure constants, is bound. max_search bounds the candidates."""
+    n = a.dim
     num_gens, trees, values = generating_scheme(a)
-    total = p ** (a.dim * num_gens)
+    width = n * num_gens
+    total = len(domain) ** width
     if total > max_search:
-        raise ResourceBound("automorphism search needs %d candidates, "
-                            "bound is %d" % (total, max_search))
+        raise ResourceBound("%s search needs %d candidates, bound is %d" % (
+            "automorphism" if a is b else "isomorphism", total, max_search))
+    f = a.field
     vmat_inv = Matrix.from_cols(f, values).inverse()
-    auts = []
-    for flat in product(elements, repeat=a.dim * num_gens):
-        gens = [list(flat[k * a.dim:(k + 1) * a.dim]) for k in range(num_gens)]
-        try:
-            imgs = [eval_tree(a, t, gens) for t in trees]
-        except ZeroDivisionError:
-            continue
-        phi = Matrix.from_cols(f, imgs) * vmat_inv
-        if phi.is_invertible() and is_homomorphism(a, a, phi):
-            auts.append(phi)
-    return auts
+
+    def reach(x, y):  # last coordinate each entry of x*y can involve, or -1
+        out = [-1] * n
+        for (p, q), terms in b._nonzero.items():
+            if min(x[p], y[q]) >= 0:
+                for k, _ in terms:
+                    out[k] = max(out[k], x[p], y[q])
+        return out
+
+    last = {}
+    for t in trees:
+        last[t] = ([t[1] * n + m for m in range(n)] if t[0] == "gen"
+                   else reach(last[t[1]], last[t[2]]))
+    checks = [[] for _ in range(width)]  # depth -> conditions tested there
+    for (i, ti), (j, tj) in product(enumerate(trees), repeat=2):
+        terms = [(k, c) for k, c in enumerate(
+            vmat_inv.apply(a.multiply(values[i], values[j]))) if c]
+        d = max(reach(last[ti], last[tj])
+                + [max(last[trees[k]]) for k, _ in terms])
+        if 0 <= d < width - 1 and ("mul", ti, tj) not in last:
+            checks[d].append((i, j, terms))
+    gens = [[f.zero] * n for _ in range(num_gens)]
+
+    def consistent(conditions):
+        imgs = [eval_tree(b, t, gens) for t in trees]
+        return all(b.multiply(imgs[i], imgs[j]) == [
+            sum((c * imgs[k][m] for k, c in terms), f.zero) for m in range(n)]
+            for i, j, terms in conditions)
+
+    def walk(d):
+        for x in domain:
+            gens[d // n][d % n] = x
+            if d == width - 1:
+                img_mat = Matrix.from_cols(
+                    f, [eval_tree(b, t, gens) for t in trees])
+                if img_mat.is_invertible():
+                    phi = img_mat * vmat_inv
+                    if is_homomorphism(a, b, phi):
+                        yield phi
+            elif not checks[d] or consistent(checks[d]):
+                yield from walk(d + 1)
+        gens[d // n][d % n] = f.zero
+
+    return walk(0)
+
+
+def aut_group_fp(a: Algebra, max_search=300000):
+    """All automorphisms of an algebra over a prime field, by a search over
+    images of a greedy generating set."""
+    return list(_homomorphisms(a, a, a.field.elements(), max_search))
 
 
 def iso_search_fp(a: Algebra, b: Algebra, max_search=300000):
@@ -133,25 +178,7 @@ def iso_search_fp(a: Algebra, b: Algebra, max_search=300000):
     assert a.field.name == b.field.name
     if a.dim != b.dim:
         return None
-    f = a.field
-    elements = f.elements()
-    p = len(elements)
-    num_gens, trees, values = generating_scheme(a)
-    total = p ** (a.dim * num_gens)
-    if total > max_search:
-        raise ResourceBound("isomorphism search needs %d candidates, "
-                            "bound is %d" % (total, max_search))
-    vmat_inv = Matrix.from_cols(f, values).inverse()
-    for flat in product(elements, repeat=a.dim * num_gens):
-        gens = [list(flat[k * a.dim:(k + 1) * a.dim]) for k in range(num_gens)]
-        imgs = [eval_tree(b, t, gens) for t in trees]
-        img_mat = Matrix.from_cols(f, imgs)
-        if not img_mat.is_invertible():
-            continue
-        phi = img_mat * vmat_inv
-        if is_homomorphism(a, b, phi):
-            return phi
-    return None
+    return next(_homomorphisms(a, b, a.field.elements(), max_search), None)
 
 
 def verify_isomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
@@ -364,39 +391,11 @@ def iso_search(a: Algebra, b: Algebra, grid=None, primes=_DEFAULT_PRIMES,
     evidence = {}
     if grid is None:
         grid = _default_grid(a.field)
-    num_gens, trees, values = generating_scheme(a)
-    total = len(grid) ** (a.dim * num_gens)
+    total = len(grid) ** (a.dim * generating_scheme(a)[0])
     if total <= max_search:
-        f = a.field
-        n = a.dim
-        vmat_inv = Matrix.from_cols(f, values).inverse()
-        coeffs = [[vmat_inv.apply(a.multiply(vi, vj)) for vj in values]
-                  for vi in values]
-        for flat in product(grid, repeat=n * num_gens):
-            gens = [list(flat[k * n:(k + 1) * n]) for k in range(num_gens)]
-            imgs = [eval_tree(b, t, gens) for t in trees]
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    lhs = b.multiply(imgs[i], imgs[j])
-                    rhs = [f.zero] * n
-                    for k, c in enumerate(coeffs[i][j]):
-                        if c:
-                            for m in range(n):
-                                rhs[m] = rhs[m] + c * imgs[k][m]
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            img_mat = Matrix.from_cols(f, imgs)
-            if not img_mat.is_invertible():
-                continue
-            phi = img_mat * vmat_inv
-            if is_homomorphism(a, b, phi):
-                return Verdict("witness", witness=phi)
+        w = next(_homomorphisms(a, b, grid, max_search), None)
+        if w is not None:
+            return Verdict("witness", witness=w)
         evidence["grid"] = "no witness among %d candidates" % total
     else:
         evidence["grid"] = "skipped, %d candidates above bound %d" % (

@@ -137,20 +137,6 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def substitute(self, mapping) -> "MultiPoly":
-        """Replace variables by polynomials or constants."""
-        out = MultiPoly.const(0)
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for v, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                rep = mapping.get(v)
-                rep = MultiPoly.var(v) if rep is None else _as_poly(rep)
-                term = term * rep ** e
-            out = out + term
-        return out
-
     def evaluate(self, field, env):
         """Evaluate at field elements; env maps every variable to a value."""
         acc = field.zero

@@ -82,6 +82,17 @@ def test_extend_named_form(capsys):
     assert "derivation-type (cd): True" in out
 
 
+def test_extend_radical_meets_annihilator(capsys):
+    # D(1,2) vanishes on e3, which spans the annihilator of CD3_01.
+    code, out, err = run(capsys, "extend", "CD3_01", "--cocycle", "D(1,2)",
+                         "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["split"] is None
+    code, out, err = run(capsys, "extend", "CD3_01", "--cocycle", "D(1,2)")
+    assert code == 0
+    assert "split: undetermined (form radical meets the annihilator)" in out
+
+
 def test_extend_bad_literal(capsys):
     code, out, err = run(capsys, "extend", "CD3_01", "--cocycle", "Q(1)")
     assert code == 2

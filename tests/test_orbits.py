@@ -1,14 +1,18 @@
 import copy
 import random
+from itertools import product
+
+import pytest
 
 from nilext import catalog, tables
-from nilext.algebra import is_homomorphism
+from nilext.algebra import (Algebra, eval_tree, fingerprint,
+                            generating_scheme, is_homomorphism)
 from nilext.extensions import (BilinearForm, LineClass, cohomology,
                                central_extension)
 from nilext.linalg import Matrix
-from nilext.orbits import (AutFamily, Verdict, act, aut_group_fp,
-                           extension_of_line, iso_search, iso_search_fp,
-                           orbit_census_fp, verify_isomorphism,
+from nilext.orbits import (AutFamily, ResourceBound, Verdict, act,
+                           aut_group_fp, extension_of_line, iso_search,
+                           iso_search_fp, orbit_census_fp, verify_isomorphism,
                            verify_transform_table, witness_extension_iso)
 from nilext.scalars import FIELDS, QQ
 
@@ -169,3 +173,95 @@ def test_orbit_witnesses_reach_members():
             assert psi.is_invertible()
             checked += 1
     assert checked >= 3
+
+
+def _reference_homomorphisms(a, b, domain):
+    """Every candidate of the generator-image product, in product order: the
+    exhaustive loop the pruned search replaced, kept as its oracle."""
+    num_gens, trees, values = generating_scheme(a)
+    vmat_inv = Matrix.from_cols(a.field, values).inverse()
+    for flat in product(domain, repeat=a.dim * num_gens):
+        gens = [list(flat[k * a.dim:(k + 1) * a.dim]) for k in range(num_gens)]
+        img_mat = Matrix.from_cols(a.field,
+                                   [eval_tree(b, t, gens) for t in trees])
+        if img_mat.is_invertible():
+            phi = img_mat * vmat_inv
+            if is_homomorphism(a, b, phi):
+                yield phi
+
+
+def _random_nilpotent(f, rng, n, density):
+    """e_i e_j lies in the span of e_k with k > max(i, j)."""
+    table = [[[f.random(rng) if k > max(i, j) and rng.random() < density
+               else f.zero for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    return Algebra(f, table)
+
+
+def _transported(a, g):
+    """The table of a in the basis given by the columns of g."""
+    f = a.field
+    ginv = g.inverse()
+    cols = [g.col(j) for j in range(a.dim)]
+    return Algebra(f, [[ginv.apply(a.multiply(x, y)) for y in cols]
+                       for x in cols])
+
+
+def test_pruned_search_matches_product_loop_over_fp():
+    rng = random.Random(64)
+    gens_seen = set()
+    for p in (2, 3):
+        f = FIELDS["F%d" % p]
+        for trial in range(24):
+            n = 3 + trial % 2
+            a = _random_nilpotent(f, rng, n, 0.5)
+            num_gens = generating_scheme(a)[0]
+            if p ** (n * num_gens) > 729:
+                continue
+            gens_seen.add(num_gens)
+            elements = f.elements()
+            assert aut_group_fp(a) == list(
+                _reference_homomorphisms(a, a, elements))
+            others = [_transported(a, _random_invertible(f, rng, n)),
+                      _random_nilpotent(f, rng, n, 0.5)]
+            for b in others:
+                ref = next(_reference_homomorphisms(a, b, elements), None)
+                assert iso_search_fp(a, b) == ref
+    assert {1, 2} <= gens_seen
+
+
+def test_pruned_search_matches_product_loop_on_catalog_pairs():
+    pairs = []
+    for rid, exprs, fname in tables.RELATIONS:
+        f = FIELDS[fname]
+        vals = catalog.sample_parameters(rid, 1, 0)[0]
+        b = catalog.instantiate(rid, catalog._relation_images(
+            catalog.entry(rid)["params"], exprs, f, vals), f)
+        pairs.append((catalog.instantiate(rid, vals, f), b))
+    for id1, id2 in tables.DISTINCT_PAIRS:
+        a = catalog.instantiate(id1, catalog.sample_parameters(id1, 1, 0)[0])
+        b = catalog.instantiate(id2, catalog.sample_parameters(id2, 1, 0)[0])
+        if fingerprint(a) == fingerprint(b):
+            pairs.append((a, b))
+    assert len(pairs) > len(tables.RELATIONS)
+    for a, b in pairs:
+        f = a.field
+        grid = ([f.one, f.omega, f.omega * f.omega, f.zero]
+                if hasattr(f, "omega") else [f.one, -f.one, f.zero])
+        ref = next(_reference_homomorphisms(a, b, grid), None)
+        v = iso_search(a, b, grid=grid, primes=())
+        assert v.kind == ("undecided" if ref is None else "witness"), a.label
+        assert v.witness == ref, a.label
+
+
+def test_search_bound_counts_candidates():
+    f3 = FIELDS["F3"]
+    a = catalog.instantiate("CD3_02", field=f3)
+    total = 3 ** (3 * generating_scheme(a)[0])
+    with pytest.raises(ResourceBound, match="^automorphism search needs "
+                       "%d candidates, bound is %d$" % (total, total - 1)):
+        aut_group_fp(a, max_search=total - 1)
+    b = catalog.instantiate("CD3_02", field=f3)
+    with pytest.raises(ResourceBound, match="^isomorphism search needs"):
+        iso_search_fp(a, b, max_search=total - 1)
+    assert len(aut_group_fp(a, max_search=total)) > 0

@@ -114,10 +114,13 @@ def test_field_elements_pickle_and_copy():
 
 def test_validation_survives_python_O():
     code = """
+import contextlib, io
 from fractions import Fraction
-from nilext import catalog
-from nilext.orbits import _to_prime_field
-from nilext.scalars import QZ12, FpElt, PrimeField, parse_cyc
+from nilext import catalog, cli, tables
+from nilext.extensions import is_split, parse_form
+from nilext.identities import Identity
+from nilext.orbits import AutFamily, _to_prime_field
+from nilext.scalars import QQ, QZ12, FpElt, PrimeField, parse_cyc
 
 def raises(exc, fn, *args):
     try:
@@ -141,6 +144,17 @@ a = catalog.instantiate("N4_43", {"alpha": Fraction(1), "beta": Fraction(1)})
 if _to_prime_field(a, 2) is not None:
     raise SystemExit("N4_43 has a -1/2 entry and no F2 reduction")
 assert _to_prime_field(a, 3) is not None
+aut = tables.SETUPS["CD3_01"]["aut"]
+fam = AutFamily.from_strings("CD3_01", aut["vars"], aut["nonzero"], aut["rows"])
+raises(ValueError, fam.specialize, QQ, {"x": QQ.from_int(0), "y": QQ.from_int(5)})
+raises(ValueError, Identity, "x1*x1", 2, ((Fraction(1), (0, 0)),))
+raises(ValueError, is_split, catalog.instantiate("CD3_01"),
+       [parse_form("D(1,2)", 3, QQ)])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["extend", "CD3_01", "--cocycle", "D(1,2)"])
+if "split: undetermined" not in out.getvalue():
+    raise SystemExit(out.getvalue())
 print("ok")
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
