@@ -282,9 +282,12 @@ def generating_scheme(a: Algebra):
     """Greedy generators and product trees whose values span the algebra.
 
     Returns (num_gens, basis_trees, basis_values) where each tree is either
-    ("gen", k) or ("mul", t1, t2) and the values form a basis.
+    ("gen", k) or ("mul", t1, t2) and the values form a basis. The result is
+    kept in a._cache, since a structure table is never mutated; callers must
+    not mutate it either.
     """
-    f = a.field
+    if "scheme" in a._cache:
+        return a._cache["scheme"]
     span = a.subspace([])
     trees = []
     values = []
@@ -317,7 +320,8 @@ def generating_scheme(a: Algebra):
                             break
                 if span.dim == a.dim:
                     break
-    return num_gens, trees, values
+    a._cache["scheme"] = num_gens, trees, values
+    return a._cache["scheme"]
 
 
 def eval_tree(a: Algebra, tree, gen_images):

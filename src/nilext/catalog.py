@@ -178,7 +178,8 @@ def _admissible(e, values):
 
 def sample_parameters(entry_id: str, count=3, seed=0):
     """Deterministic rational parameter samples clear of all constraints."""
-    assert count >= 1
+    if count < 1:
+        raise ValueError("sample count must be at least 1, got %d" % count)
     e = entry(entry_id)
     params = e["params"]
     if not params:
@@ -555,27 +556,31 @@ def verify_catalog(scope="all", samples=3, max_search=300000,
     return Report(scope, recs)
 
 
+def entry_row(eid: str) -> dict:
+    """One catalog entry as a JSON row; a base with fixed parameters is
+    folded into one string such as "CD3_04(lambda=-1/2)"."""
+    e = entry(eid)
+    row = {
+        "id": eid, "dim": e["dim"],
+        "params": [{"name": nm, "excluded": list(e["excluded"].get(nm, ()))}
+                   for nm in e["params"]],
+        "products": [[i, j, src, k] for i, j, src, k in e["products"]],
+        "provenance": e["provenance"],
+    }
+    if "base" in e:
+        base = e["base"]
+        if e["base_params"]:
+            inner = ",".join("%s=%s" % kv
+                             for kv in sorted(e["base_params"].items()))
+            base = "%s(%s)" % (base, inner)
+        row["base"] = base
+        row["cocycle"] = cocycle_string(e)
+    return row
+
+
 def catalog_json() -> str:
     """The whole catalog as versioned JSON."""
-    entries = []
-    for eid in all_ids():
-        e = entry(eid)
-        row = {
-            "id": eid, "dim": e["dim"],
-            "params": [{"name": nm, "excluded": list(e["excluded"].get(nm, ()))}
-                       for nm in e["params"]],
-            "products": [[i, j, src, k] for i, j, src, k in e["products"]],
-            "provenance": e["provenance"],
-        }
-        if "base" in e:
-            base = e["base"]
-            if e["base_params"]:
-                inner = ",".join("%s=%s" % kv
-                                 for kv in sorted(e["base_params"].items()))
-                base = "%s(%s)" % (base, inner)
-            row["base"] = base
-            row["cocycle"] = cocycle_string(e)
-        entries.append(row)
+    entries = [entry_row(eid) for eid in all_ids()]
     payload = {
         "schema": tables.SCHEMA_VERSION,
         "entries": entries,

@@ -88,23 +88,6 @@ def _instance_facts(a):
     }
 
 
-def _entry_row(eid):
-    e = catalog.entry(eid)
-    row = {
-        "id": eid, "dim": e["dim"],
-        "params": [{"name": nm, "excluded": list(e["excluded"].get(nm, ()))}
-                   for nm in e["params"]],
-        "products": [[i, j, src, k] for i, j, src, k in e["products"]],
-        "provenance": e["provenance"],
-    }
-    if "base" in e:
-        row["base"] = e["base"]
-        if e["base_params"]:
-            row["base_params"] = dict(e["base_params"])
-        row["cocycle"] = catalog.cocycle_string(e)
-    return row
-
-
 def cmd_info(args):
     field = FIELDS[args.field]
     if _check_id(args.id) == "stub":
@@ -117,7 +100,7 @@ def cmd_info(args):
                   "no table stored" % args.id)
         return 0
     e = catalog.entry(args.id)
-    row = _entry_row(args.id)
+    row = catalog.entry_row(args.id)
     vals = parse_params(args.params, field)
     computed = None
     if e["params"] and not vals:
@@ -139,11 +122,8 @@ def cmd_info(args):
         excl = " avoiding " + ", ".join(p["excluded"]) if p["excluded"] else ""
         print("  param %s%s" % (p["name"], excl))
     if "base" in row:
-        print("  built from %s with combination %s" % (
-            row.get("base"), row.get("cocycle")))
-        if "base_params" in row:
-            print("  base parameters fixed: %s" % ",".join(
-                "%s=%s" % kv for kv in sorted(row["base_params"].items())))
+        print("  built from %s with combination %s" % (row["base"],
+                                                       row["cocycle"]))
     for i, j, src, k in e["products"]:
         print("  e%d e%d += (%s) e%d" % (i, j, src, k))
     if note:

@@ -222,74 +222,47 @@ class Census:
 def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
                     max_search=300000) -> Census:
     """Partition the projective lines of the form-class space into orbits of
-    the automorphism group, over a prime field."""
+    the automorphism group, over a prime field.
+
+    Lines run in increasing residue order, so the first line not yet seen is
+    the least member of its orbit, its rep. The automorphisms form a group,
+    so one sweep over them from the rep reaches the whole orbit; a member's
+    witness is the first automorphism, in aut_group_fp order, that carries
+    the rep's line to the member's."""
     assert isinstance(a.field, PrimeField) and a.field.p in (2, 3), \
         "census runs over F2 or F3"
     f = a.field
     if coh is None:
         coh = cohomology(a)
     r = coh.h2_dim
-    elements = f.elements()
-    lines = []
-    for tup in product(elements, repeat=r):
-        if not any(tup):
-            continue
-        if _normalize_line(f, tup) == tup:
-            lines.append(tup)
+    lines = [t for t in product(f.elements(), repeat=r)
+             if any(t) and _normalize_line(f, t) == t]
     index = {t: k for k, t in enumerate(lines)}
-    classes = []
-    for t in lines:
-        theta = coh.form_from_coords(list(t))
-        classes.append(classify_line(a, theta))
+    classes = [classify_line(a, coh.form_from_coords(list(t))) for t in lines]
     auts = aut_group_fp(a, max_search=max_search)
-    maps = []
-    for phi in auts:
-        cols = [coh.coords_mod_b2(act(phi, rep)) for rep in coh.reps]
-        maps.append(Matrix.from_cols(f, cols))
-    parent = list(range(len(lines)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = {}
+    maps = [Matrix.from_cols(f, [coh.coords_mod_b2(act(phi, rep))
+                                 for rep in coh.reps]) for phi in auts]
+    seen = set()
+    orbits = []
     for k, t in enumerate(lines):
+        if t in seen:
+            continue
+        witnesses = {t: Matrix.identity(f, a.dim)}
         for phi, tmap in zip(auts, maps):
             img = _normalize_line(f, tuple(tmap.apply(list(t))))
-            k2 = index[img]
-            assert classes[k] is classes[k2], \
+            witnesses.setdefault(img, phi)
+        members = sorted(witnesses, key=index.__getitem__)
+        for m in members:
+            assert m not in seen, "a line is reached from two representatives"
+            assert classes[index[m]] is classes[k], \
                 "automorphism action must preserve the line class"
-            edges.setdefault(k, []).append((k2, phi))
-            ra, rb = find(k), find(k2)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for k in range(len(lines)):
-        groups.setdefault(find(k), []).append(k)
-    orbits = []
-    for members in groups.values():
-        rep = min(members, key=lambda k: tuple(c.v for c in lines[k]))
-        witnesses = {lines[rep]: Matrix.identity(f, a.dim)}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                w = witnesses[lines[k]]
-                for k2, phi in edges[k]:
-                    if lines[k2] not in witnesses:
-                        witnesses[lines[k2]] = w * phi
-                        nxt.append(k2)
-            frontier = nxt
-        assert len(witnesses) == len(members)
-        orbits.append(LineOrbit(classes[rep], lines[rep],
-                                [lines[k] for k in sorted(members)], witnesses))
+        seen.update(members)
+        orbits.append(LineOrbit(classes[k], t, members, witnesses))
     orbits.sort(key=lambda o: (o.line_class.value,
                                tuple(c.v for c in o.rep)))
     counts = {}
-    for k in range(len(lines)):
-        counts[classes[k].value] = counts.get(classes[k].value, 0) + 1
+    for c in classes:
+        counts[c.value] = counts.get(c.value, 0) + 1
     return Census(a.label, f.name, r, len(auts), len(lines), counts, orbits)
 
 

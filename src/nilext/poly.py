@@ -41,7 +41,8 @@ class MultiPoly:
         return all(not any(exp) for exp in self.terms)
 
     def constant_value(self) -> Fraction:
-        assert self.is_constant()
+        if not self.is_constant():
+            raise ValueError("%r is not a constant" % self)
         return sum(self.terms.values(), Fraction(0))
 
     def _aligned(self, other):
@@ -108,13 +109,14 @@ class MultiPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        assert other.is_constant(), "can only divide by a constant"
         c = other.constant_value()
-        assert c, "division by zero"
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
         return self * MultiPoly.const(Fraction(1) / c)
 
     def __pow__(self, n: int):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be an int >= 0, got %r" % (n,))
         out = MultiPoly.const(1)
         base = self
         while n:

@@ -79,6 +79,7 @@ def test_generating_scheme_spans():
         vals = catalog.sample_parameters(eid, 1)[0]
         a = catalog.instantiate(eid, vals)
         num_gens, trees, values = generating_scheme(a)
+        assert generating_scheme(a) is generating_scheme(a)
         assert Subspace(a.field, a.dim, values).dim == a.dim
         gens = [values[k] for k, t in enumerate(trees) if t[0] == "gen"]
         assert len(gens) == num_gens

@@ -1,6 +1,6 @@
 import json
 
-from nilext import cli, tables
+from nilext import catalog, cli, tables
 
 
 def run(capsys, *argv):
@@ -43,6 +43,14 @@ def test_info_structured(capsys):
     assert payload["schema"] == tables.SCHEMA_VERSION
     assert payload["entry"]["id"] == "N4_17"
     assert payload["computed"]["cd"] is False
+
+
+def test_info_structured_row_matches_catalog_json(capsys):
+    code, out, err = run(capsys, "info", "N4_43", "--format", "structured")
+    assert code == 0
+    rows = json.loads(catalog.catalog_json())["entries"]
+    assert json.loads(out)["entry"] == next(r for r in rows
+                                            if r["id"] == "N4_43")
 
 
 def test_info_stub(capsys):
@@ -187,6 +195,13 @@ def test_verify_catalog_structured(capsys):
     assert payload["schema"] == tables.SCHEMA_VERSION
     assert payload["failures"] == 0
     assert len(payload["records"]) == 8
+
+
+def test_verify_catalog_rejects_nonpositive_samples(capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "verify-catalog", "--samples", n)
+        assert code == 2
+        assert err == "error: sample count must be at least 1, got %s\n" % n
 
 
 def test_usage_error_from_argparse():

@@ -7,12 +7,13 @@ import pytest
 from nilext import catalog, tables
 from nilext.algebra import (Algebra, eval_tree, fingerprint,
                             generating_scheme, is_homomorphism)
-from nilext.extensions import (BilinearForm, LineClass, cohomology,
-                               central_extension)
+from nilext.extensions import (BilinearForm, LineClass, classify_line,
+                               cohomology, central_extension)
 from nilext.linalg import Matrix
-from nilext.orbits import (AutFamily, ResourceBound, Verdict, act,
-                           aut_group_fp, extension_of_line, iso_search,
-                           iso_search_fp, orbit_census_fp, verify_isomorphism,
+from nilext.orbits import (AutFamily, Census, LineOrbit, ResourceBound,
+                           Verdict, _normalize_line, act, aut_group_fp,
+                           extension_of_line, iso_search, iso_search_fp,
+                           orbit_census_fp, verify_isomorphism,
                            verify_transform_table, witness_extension_iso)
 from nilext.scalars import FIELDS, QQ
 
@@ -265,3 +266,107 @@ def test_search_bound_counts_candidates():
     with pytest.raises(ResourceBound, match="^isomorphism search needs"):
         iso_search_fp(a, b, max_search=total - 1)
     assert len(aut_group_fp(a, max_search=total)) > 0
+
+
+def _reference_census(a, coh):
+    """Every automorphism applied to every line, the edges merged by a
+    union-find and the witnesses found by a BFS over the stored edges: the
+    census the single sweep replaced, kept as its oracle."""
+    f = a.field
+    r = coh.h2_dim
+    lines = []
+    for tup in product(f.elements(), repeat=r):
+        if not any(tup):
+            continue
+        if _normalize_line(f, tup) == tup:
+            lines.append(tup)
+    index = {t: k for k, t in enumerate(lines)}
+    classes = []
+    for t in lines:
+        theta = coh.form_from_coords(list(t))
+        classes.append(classify_line(a, theta))
+    auts = aut_group_fp(a)
+    maps = []
+    for phi in auts:
+        cols = [coh.coords_mod_b2(act(phi, rep)) for rep in coh.reps]
+        maps.append(Matrix.from_cols(f, cols))
+    parent = list(range(len(lines)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = {}
+    for k, t in enumerate(lines):
+        for phi, tmap in zip(auts, maps):
+            img = _normalize_line(f, tuple(tmap.apply(list(t))))
+            k2 = index[img]
+            assert classes[k] is classes[k2]
+            edges.setdefault(k, []).append((k2, phi))
+            ra, rb = find(k), find(k2)
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for k in range(len(lines)):
+        groups.setdefault(find(k), []).append(k)
+    orbits = []
+    for members in groups.values():
+        rep = min(members, key=lambda k: tuple(c.v for c in lines[k]))
+        witnesses = {lines[rep]: Matrix.identity(f, a.dim)}
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for k in frontier:
+                w = witnesses[lines[k]]
+                for k2, phi in edges[k]:
+                    if lines[k2] not in witnesses:
+                        witnesses[lines[k2]] = w * phi
+                        nxt.append(k2)
+            frontier = nxt
+        assert len(witnesses) == len(members)
+        orbits.append(LineOrbit(classes[rep], lines[rep],
+                                [lines[k] for k in sorted(members)], witnesses))
+    orbits.sort(key=lambda o: (o.line_class.value,
+                               tuple(c.v for c in o.rep)))
+    counts = {}
+    for k in range(len(lines)):
+        counts[classes[k].value] = counts.get(classes[k].value, 0) + 1
+    return Census(a.label, f.name, r, len(auts), len(lines), counts, orbits)
+
+
+def _census_setups():
+    """The five F2 setups of AC7, and three F3 setups each in two seeded
+    random bases."""
+    f2, f3 = FIELDS["F2"], FIELDS["F3"]
+    setups = []
+    for bid, vals in [("CD3_01", {}), ("CD3_02", {}), ("CD3_03", {}),
+                      ("CD3_04", {"lambda": 0}), ("CD3_04", {"lambda": 1})]:
+        setups.append((bid, catalog.instantiate(bid, vals, f2),
+                       catalog.named_forms(bid, f2, vals)))
+    rng = random.Random(65)
+    for bid, vals in [("CD3_01", {}), ("CD3_02", {}),
+                      ("CD3_04", {"lambda": 2})]:
+        a = catalog.instantiate(bid, vals, f3)
+        forms = catalog.named_forms(bid, f3, vals)
+        for _ in range(2):
+            g = _random_invertible(f3, rng, 3)
+            setups.append((bid, _transported(a, g),
+                           [act(g, th) for th in forms]))
+    return setups
+
+
+def test_census_sweep_matches_union_find_reference():
+    for bid, a, forms in _census_setups():
+        flags = [k + 1 in tables.SETUPS[bid]["cd"] for k in range(7)]
+        coh = cohomology(a, forms, flags)
+        got, ref = orbit_census_fp(a, coh), _reference_census(a, coh)
+        assert (got.aut_count, got.lines_total,
+                list(got.class_counts.items())) == (
+            ref.aut_count, ref.lines_total, list(ref.class_counts.items()))
+        assert len(got.orbits) == len(ref.orbits)
+        for o, p in zip(got.orbits, ref.orbits):
+            assert (o.line_class, o.rep, o.members) == (
+                p.line_class, p.rep, p.members), bid
+            assert list(o.witnesses.items()) == list(p.witnesses.items()), bid

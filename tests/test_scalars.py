@@ -117,9 +117,11 @@ def test_validation_survives_python_O():
 import contextlib, io
 from fractions import Fraction
 from nilext import catalog, cli, tables
+from nilext.exprs import poly_str
 from nilext.extensions import is_split, parse_form
 from nilext.identities import Identity
 from nilext.orbits import AutFamily, _to_prime_field
+from nilext.poly import MultiPoly
 from nilext.scalars import QQ, QZ12, FpElt, PrimeField, parse_cyc
 
 def raises(exc, fn, *args):
@@ -155,6 +157,19 @@ with contextlib.redirect_stdout(out):
     cli.main(["extend", "CD3_01", "--cocycle", "D(1,2)"])
 if "split: undetermined" not in out.getvalue():
     raise SystemExit(out.getvalue())
+raises(ValueError, poly_str, "x/y")
+raises(ValueError, poly_str, "(x+y)/(2*z)")
+raises(ZeroDivisionError, poly_str, "x/(y-y)")
+raises(ValueError, MultiPoly.var("x").constant_value)
+raises(ValueError, pow, MultiPoly.var("x"), -1)
+raises(ValueError, pow, MultiPoly.var("x"), 2.0)
+raises(ValueError, catalog.sample_parameters, "N4_42", 0)
+for n in ("0", "-1"):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["verify-catalog", "--samples", n])
+    if code != 2 or not err.getvalue().startswith("error: "):
+        raise SystemExit("--samples %s: %r %s" % (n, code, err.getvalue()))
 print("ok")
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
