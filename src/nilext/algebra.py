@@ -71,8 +71,13 @@ class Algebra:
         return self.subspace(vecs)
 
     def annihilator(self, side="both") -> Subspace:
-        """Vectors x with x*A = 0 (left), A*x = 0 (right), or both."""
-        assert side in ("both", "left", "right")
+        """Vectors x with x*A = 0 (left), A*x = 0 (right), or both;
+        memoised, as the structure table is never mutated."""
+        if side not in ("both", "left", "right"):
+            raise ValueError("annihilator side must be both, left or right")
+        key = "ann:" + side
+        if key in self._cache:
+            return self._cache[key]
         f = self.field
         n = self.dim
         rows = []
@@ -82,7 +87,8 @@ class Algebra:
                     rows.append([self.table[i][j][k] for i in range(n)])
                 if side in ("both", "right"):
                     rows.append([self.table[j][i][k] for i in range(n)])
-        return Subspace(f, n, kernel_basis(Matrix(f, rows)))
+        self._cache[key] = Subspace(f, n, kernel_basis(Matrix(f, rows)))
+        return self._cache[key]
 
     def power_chain(self):
         """Dimensions of the descending chain of product-span subspaces,

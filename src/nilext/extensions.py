@@ -244,10 +244,16 @@ class CohomologyBasis:
         return all_coords[self.b2.dim:]
 
     def form_from_coords(self, coords):
-        total = BilinearForm.zero(self.algebra.field, self.algebra.dim)
+        f = self.algebra.field
+        n = self.algebra.dim
+        grid = [[f.zero] * n for _ in range(n)]
         for c, r in zip(coords, self.reps):
-            total = total + r.scale(c)
-        return total
+            if c:
+                for row, rep_row in zip(grid, r.gram.rows):
+                    for j, x in enumerate(rep_row):
+                        if x:
+                            row[j] = row[j] + c * x
+        return BilinearForm(f, grid)
 
 
 def cohomology(a: Algebra, named_reps=None, named_cd_flags=None) -> CohomologyBasis:
@@ -324,6 +330,26 @@ def theta_perp(a: Algebra, thetas) -> Subspace:
     return Subspace(f, a.dim, kernel_basis(Matrix(f, rows)))
 
 
+def radical_meets_annihilator(a: Algebra, thetas) -> bool:
+    """Whether the forms' shared radical meets Ann(A).
+
+    With a_1..a_s a basis of Ann(A), a combination sum c_l a_l lies in the
+    radical exactly when c is in the kernel of the rows
+    [theta(a_l, e_j)]_l and [theta(e_j, a_l)]_l over every form and j, so
+    the radical meets Ann(A) exactly when those rows have rank below s."""
+    f = a.field
+    ann = a.annihilator("both").basis
+    rows = []
+    for th in thetas:
+        g = th.gram.rows
+        for j in range(a.dim):
+            rows.append([sum((c * g[i][j] for i, c in enumerate(v) if c),
+                             f.zero) for v in ann])
+            rows.append([sum((g[j][i] * c for i, c in enumerate(v) if c),
+                             f.zero) for v in ann])
+    return Matrix(f, rows).rank() < len(ann)
+
+
 class LineClass(enum.Enum):
     NOT_IN_T1 = "not-in-T1"
     R1 = "R1"
@@ -336,8 +362,7 @@ def classify_line(a: Algebra, theta: BilinearForm) -> LineClass:
     b2 = b2_space(a)
     if b2.contains(theta.flatten()):
         raise ValueError("form is a coboundary; its extension splits")
-    ann = a.annihilator("both")
-    if theta_perp(a, [theta]).intersect(ann).dim > 0:
+    if radical_meets_annihilator(a, [theta]):
         return LineClass.NOT_IN_T1
     z2cd = cd_cocycle_space(a)
     if z2cd is not None and z2cd.contains(theta.flatten()):
@@ -366,8 +391,7 @@ def central_extension(a: Algebra, thetas, label=None) -> Algebra:
 def is_split(a: Algebra, thetas) -> bool:
     """Whether the extension decomposes; requires the forms' shared radical
     to miss the annihilator."""
-    ann = a.annihilator("both")
-    if theta_perp(a, thetas).intersect(ann).dim:
+    if radical_meets_annihilator(a, thetas):
         raise ValueError("splitness test needs trivial shared radical in the "
                          "annihilator")
     b2 = b2_space(a)

@@ -202,10 +202,11 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         vecs = [v for v in vectors if not is_zero_vec(field, v)]
+        # pivots[i] is the leading column of basis[i].
         if vecs:
-            self.basis = Matrix(field, vecs).rref()[0]
+            self.basis, self.pivots = Matrix(field, vecs).rref()
         else:
-            self.basis = []
+            self.basis, self.pivots = [], []
 
     @property
     def dim(self):
@@ -215,8 +216,7 @@ class Subspace:
         assert len(vec) == self.ambient
         f = self.field
         v = list(vec)
-        for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x)
+        for b, lead in zip(self.basis, self.pivots):
             if v[lead]:
                 v = vec_sub(v, vec_scale(v[lead], b))
         return is_zero_vec(f, v)
@@ -226,8 +226,7 @@ class Subspace:
         f = self.field
         v = list(vec)
         coords = []
-        for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x)
+        for b, lead in zip(self.basis, self.pivots):
             c = v[lead]
             coords.append(c)
             if c:

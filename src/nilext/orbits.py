@@ -175,7 +175,8 @@ def aut_group_fp(a: Algebra, max_search=300000):
 def iso_search_fp(a: Algebra, b: Algebra, max_search=300000):
     """Exhaustive isomorphism search over a prime field; None is a proof of
     non-isomorphism at this field."""
-    assert a.field.name == b.field.name
+    if a.field.name != b.field.name:
+        raise ValueError("isomorphism search needs both algebras over one field")
     if a.dim != b.dim:
         return None
     return next(_homomorphisms(a, b, a.field.elements(), max_search), None)
@@ -229,8 +230,8 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     so one sweep over them from the rep reaches the whole orbit; a member's
     witness is the first automorphism, in aut_group_fp order, that carries
     the rep's line to the member's."""
-    assert isinstance(a.field, PrimeField) and a.field.p in (2, 3), \
-        "census runs over F2 or F3"
+    if not (isinstance(a.field, PrimeField) and a.field.p in (2, 3)):
+        raise ValueError("census runs over F2 or F3, not %s" % a.field.name)
     f = a.field
     if coh is None:
         coh = cohomology(a)
@@ -350,7 +351,8 @@ def iso_search(a: Algebra, b: Algebra, grid=None, primes=_DEFAULT_PRIMES,
     search over a grid of images, and prime-field evidence otherwise."""
     if a.dim != b.dim:
         return Verdict("distinct", component="dim")
-    assert a.field.name == b.field.name
+    if a.field.name != b.field.name:
+        raise ValueError("isomorphism search needs both algebras over one field")
     if isinstance(a.field, PrimeField):
         w = iso_search_fp(a, b, max_search=max_search)
         if w is not None:

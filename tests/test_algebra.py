@@ -48,6 +48,28 @@ def test_one_sided_annihilators():
         assert left.contains(v) and right.contains(v)
 
 
+def test_annihilator_memoised():
+    rng = random.Random(34)
+    f3 = FIELDS["F3"]
+    algs = [catalog.instantiate(eid, vals, f) for eid, vals, f in
+            [("CD3_01", {}, QQ), ("N4_17", {}, QQ), ("CD3_04", {"lambda": 2}, f3)]]
+    for n in (3, 4, 4, 5):
+        algs.append(Algebra(f3, [[[f3.random(rng) if k > max(i, j) else f3.zero
+                                   for k in range(n)] for j in range(n)]
+                                 for i in range(n)]))
+    for a in algs:
+        for side in ("both", "left", "right"):
+            first = a.annihilator(side)
+            assert a.annihilator(side) is first
+            # A fresh algebra has an empty cache: the uncached computation.
+            assert first == Algebra(a.field, a.table).annihilator(side)
+    try:
+        algs[0].annihilator("middle")
+        assert False, "expected a rejection"
+    except ValueError:
+        pass
+
+
 def test_derivations_are_lie_closed():
     a = catalog.instantiate("CD3_03")
     der = a.derivations()

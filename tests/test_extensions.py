@@ -1,12 +1,21 @@
 import random
+from itertools import product
+
+import pytest
 
 from nilext import catalog, tables
+from nilext.algebra import Algebra
 from nilext.extensions import (BilinearForm, LineClass, b2_space,
-                               central_extension, classify_line,
-                               coboundary, cohomology, is_split, parse_form,
-                               render_form, theta_perp)
+                               cd_cocycle_space, central_extension,
+                               classify_line, coboundary, cohomology,
+                               is_split, parse_form,
+                               radical_meets_annihilator, render_form,
+                               theta_perp)
 from nilext.linalg import Subspace
+from nilext.orbits import _normalize_line
 from nilext.scalars import FIELDS, QQ
+from test_orbits import (_census_setups, _random_invertible,
+                         _random_nilpotent, _transported)
 
 
 def _named(bid, vals=None):
@@ -134,3 +143,78 @@ def test_extension_annihilator_formula():
         lifted.append([f.zero] * n + [f.one])
         want = Subspace(f, n + 1, lifted)
         assert ext.annihilator() == want
+
+
+def _reference_form_from_coords(coh, coords):
+    total = BilinearForm.zero(coh.algebra.field, coh.algebra.dim)
+    for c, r in zip(coords, coh.reps):
+        total = total + r.scale(c)
+    return total
+
+
+def _reference_radical_meets(a, thetas):
+    # A fresh algebra has an empty cache: the annihilator is recomputed.
+    ann = Algebra(a.field, a.table).annihilator("both")
+    return theta_perp(a, thetas).intersect(ann).dim > 0
+
+
+def _reference_classify_line(a, theta):
+    if b2_space(a).contains(theta.flatten()):
+        raise ValueError("form is a coboundary")
+    if _reference_radical_meets(a, [theta]):
+        return LineClass.NOT_IN_T1
+    z2cd = cd_cocycle_space(a)
+    if z2cd is not None and z2cd.contains(theta.flatten()):
+        return LineClass.R1
+    return LineClass.U1
+
+
+def test_line_classification_matches_reference_on_census_lines():
+    for bid, a, forms in _census_setups():
+        flags = [k + 1 in tables.SETUPS[bid]["cd"] for k in range(7)]
+        coh = cohomology(a, forms, flags)
+        f = a.field
+        for t in product(f.elements(), repeat=coh.h2_dim):
+            if not any(t) or _normalize_line(f, t) != t:
+                continue
+            theta = coh.form_from_coords(list(t))
+            ref = _reference_form_from_coords(coh, t)
+            assert theta == ref, (bid, t)
+            assert classify_line(a, theta) is \
+                _reference_classify_line(a, ref), (bid, t)
+
+
+def test_radical_test_matches_reference_on_random_forms():
+    rng = random.Random(54)
+    seen = set()
+    for name in ("Q", "F3"):
+        f = FIELDS[name]
+        algs = [catalog.instantiate(bid, vals, f) for bid, vals in
+                [("CD3_01", {}), ("CD3_02", {}), ("CD3_03", {}),
+                 ("CD3_04", {"lambda": 2})]]
+        algs += [_random_nilpotent(f, rng, n, 0.6) for n in (3, 4, 4)]
+        algs += [_transported(a, _random_invertible(f, rng, a.dim))
+                 for a in list(algs)]
+        for a in algs:
+            n = a.dim
+            for _ in range(12):
+                density = rng.choice((0.15, 0.3, 0.6))
+                thetas = [BilinearForm(f, [[f.random(rng)
+                                            if rng.random() < density
+                                            else f.zero for _ in range(n)]
+                                           for _ in range(n)])
+                          for _ in range(2)]
+                meets = _reference_radical_meets(a, thetas)
+                seen.add(meets)
+                assert radical_meets_annihilator(a, thetas) == meets
+                assert radical_meets_annihilator(a, thetas[:1]) == \
+                    _reference_radical_meets(a, thetas[:1])
+                if meets:
+                    with pytest.raises(ValueError):
+                        is_split(a, thetas)
+                else:
+                    b2 = b2_space(a)
+                    span = b2.add(Subspace(f, n * n, [th.flatten()
+                                                      for th in thetas]))
+                    assert is_split(a, thetas) == (span.dim - b2.dim < 2)
+    assert seen == {True, False}

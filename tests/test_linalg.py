@@ -101,3 +101,47 @@ def test_flatten_unflatten():
     m = Matrix(f, [[f.from_int(1), f.from_int(2)],
                    [f.from_int(3), f.from_int(4)]])
     assert Matrix.unflatten(f, 2, m.flatten()) == m
+
+
+def _reference_coords(sub, vec):
+    """coords_of by rescanning every basis row for its leading entry."""
+    v = list(vec)
+    coords = []
+    for b in sub.basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        c = v[lead]
+        coords.append(c)
+        if c:
+            v = [x - c * y for x, y in zip(v, b)]
+    return coords if not any(v) else None
+
+
+def test_subspace_pivots_match_leading_entries():
+    rng = random.Random(26)
+    for name in ("F3", "Q"):
+        f = FIELDS[name]
+        for _ in range(60):
+            n = rng.randrange(1, 7)
+            shared = [f.random(rng) for _ in range(n)]
+
+            def sparse():
+                return [f.random(rng) if rng.random() < 0.5 else f.zero
+                        for _ in range(n)]
+            u = Subspace(f, n, [shared] + [sparse() for _ in
+                                           range(rng.randrange(3))])
+            w = Subspace(f, n, [shared] + [sparse() for _ in
+                                           range(rng.randrange(3))])
+            for sub in (u, w, u.add(w), u.intersect(w), Subspace(f, n)):
+                assert sub.pivots == [next(i for i, x in enumerate(b) if x)
+                                      for b in sub.basis]
+                vecs = [sparse() for _ in range(4)]
+                for _ in range(4):
+                    v = zero_vec(f, n)
+                    for b in sub.basis:
+                        c = f.random(rng)
+                        v = [x + c * y for x, y in zip(v, b)]
+                    vecs.append(v)
+                for v in vecs:
+                    ref = _reference_coords(sub, v)
+                    assert sub.coords_of(v) == ref
+                    assert sub.contains(v) == (ref is not None)

@@ -120,7 +120,8 @@ from nilext import catalog, cli, tables
 from nilext.exprs import poly_str
 from nilext.extensions import is_split, parse_form
 from nilext.identities import Identity
-from nilext.orbits import AutFamily, _to_prime_field
+from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
+                           iso_search_fp, orbit_census_fp)
 from nilext.poly import MultiPoly
 from nilext.scalars import QQ, QZ12, FpElt, PrimeField, parse_cyc
 
@@ -157,6 +158,12 @@ with contextlib.redirect_stdout(out):
     cli.main(["extend", "CD3_01", "--cocycle", "D(1,2)"])
 if "split: undetermined" not in out.getvalue():
     raise SystemExit(out.getvalue())
+raises(ValueError, orbit_census_fp,
+       catalog.instantiate("CD3_01", {}, PrimeField(5)))
+raises(ValueError, iso_search_fp, catalog.instantiate("CD3_01", {}, PrimeField(2)),
+       catalog.instantiate("CD3_01", {}, PrimeField(3)))
+raises(ValueError, iso_search, catalog.instantiate("CD3_01"),
+       catalog.instantiate("CD3_01", {}, QZ12))
 raises(ValueError, poly_str, "x/y")
 raises(ValueError, poly_str, "(x+y)/(2*z)")
 raises(ZeroDivisionError, poly_str, "x/(y-y)")
