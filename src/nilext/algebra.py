@@ -15,10 +15,9 @@ class Algebra:
 
     def __init__(self, field, table, label="", params=None):
         n = len(table)
-        for row in table:
-            assert len(row) == n
-            for vec in row:
-                assert len(vec) == n
+        if any(len(row) != n or any(len(vec) != n for vec in row)
+               for row in table):
+            raise ValueError("structure table is not %d x %d x %d" % (n, n, n))
         self.field = field
         self.dim = n
         self.table = [[list(vec) for vec in row] for row in table]
@@ -107,58 +106,30 @@ class Algebra:
             dims.append(acc.dim)
         return dims
 
-    def multiplication_algebra(self) -> Subspace:
-        """Associative closure of all left and right multiplication
-        operators, as a subspace of flattened matrices."""
-        if "mult_alg" in self._cache:
-            return self._cache["mult_alg"]
-        f = self.field
-        n = self.dim
-        mats = []
-        for i in range(n):
-            e = self.basis_vector(i)
-            mats.append(self.left_mult(e))
-            mats.append(self.right_mult(e))
-        span = Subspace(f, n * n, [m.flatten() for m in mats])
-        basis_mats = [Matrix.unflatten(f, n, v) for v in span.basis]
-        while True:
-            grew = False
-            for a in list(basis_mats):
-                for b in list(basis_mats):
-                    prod = a * b
-                    flat = prod.flatten()
-                    if not span.contains(flat):
-                        span = span.add(Subspace(f, n * n, [flat]))
-                        basis_mats.append(prod)
-                        grew = True
-            if not grew:
-                break
-        self._cache["mult_alg"] = span
-        return span
-
     def is_nilpotent(self) -> bool:
-        """Nilpotency via the multiplication algebra: the algebra is
-        nilpotent exactly when that associative algebra is."""
+        """Whether the multiplication algebra M(A) is nilpotent, which is
+        what nilpotency of A means. M(A) is the associative algebra
+        generated by the operators L_e and R_e; it is not built.
+
+        Let V_0 = A and V_{k+1} = A V_k + V_k A, spanned from products of
+        basis vectors. M(A)^k is spanned by the operator words of length
+        at least k. The words of length exactly k applied to A span V_k,
+        and V_1 = A A lies in V_0, so by induction V_{k+1} lies in V_k and
+        M(A)^k A = V_k. An operator is zero when it kills A, so M(A) is
+        nilpotent exactly when some V_k is 0. Once V_{k+1} = V_k every
+        later term equals V_k, so the loop stops there."""
         if "nilpotent" in self._cache:
             return self._cache["nilpotent"]
-        f = self.field
-        n = self.dim
-        span = self.multiplication_algebra()
-        gens = [Matrix.unflatten(f, n, v) for v in span.basis]
-        power = span
-        for _ in range(span.dim + 1):
-            if power.dim == 0:
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        v = self.subspace(basis)
+        while v.dim:
+            nxt = self.subspace([p for x in v.basis for e in basis
+                                 for p in (self.multiply(e, x),
+                                           self.multiply(x, e))])
+            if nxt.dim == v.dim:
                 break
-            nxt_vecs = []
-            for g in gens:
-                for v in power.basis:
-                    nxt_vecs.append((g * Matrix.unflatten(f, n, v)).flatten())
-            nxt = Subspace(f, n * n, nxt_vecs)
-            if nxt.dim == power.dim:
-                self._cache["nilpotent"] = False
-                return False
-            power = nxt
-        self._cache["nilpotent"] = power.dim == 0
+            v = nxt
+        self._cache["nilpotent"] = v.dim == 0
         return self._cache["nilpotent"]
 
     def derivations(self) -> Subspace:

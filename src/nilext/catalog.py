@@ -541,7 +541,8 @@ SCOPES = ("cohomology", "reconstruction", "invariants", "relations",
 def verify_catalog(scope="all", samples=3, max_search=300000,
                    seed=0) -> Report:
     """Run the requested verification scope and collect one record per check."""
-    assert scope == "all" or scope in SCOPES, "unknown scope: %s" % scope
+    if scope != "all" and scope not in SCOPES:
+        raise ValueError("unknown scope: %s" % scope)
     recs = []
     if scope in ("cohomology", "all"):
         recs += _check_cohomology()

@@ -33,7 +33,8 @@ class Matrix:
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == self.ncols for r in self.rows)
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("matrix rows differ in length")
 
     @classmethod
     def identity(cls, field, n):
@@ -113,7 +114,13 @@ class Matrix:
         return hash(tuple(tuple(r) for r in self.rows))
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (rows, pivot column list).
+
+        Elimination is sparse. The rows not yet used as pivot rows are zero
+        left of the current pivot column, so the pivot row is scaled, and
+        subtracted from each other row in place, only at its nonzero
+        columns. A zero entry the elimination does not reach keeps its
+        original object."""
         f = self.field
         rows = [list(r) for r in self.rows]
         pivots = []
@@ -127,11 +134,16 @@ class Matrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.one / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    rows[i] = vec_sub(rows[i], vec_scale(rows[i][c], rows[r]))
+            prow = rows[r]
+            inv = f.one / prow[c]
+            nz = [(j, inv * x) for j, x in enumerate(prow) if x]
+            for j, x in nz:
+                prow[j] = x
+            for i, row in enumerate(rows):
+                m = row[c]
+                if m and i != r:
+                    for j, x in nz:
+                        row[j] = row[j] - m * x
             pivots.append(c)
             r += 1
             if r == len(rows):
@@ -158,7 +170,8 @@ class Matrix:
 
     def inverse(self):
         inv = self.try_inverse()
-        assert inv is not None, "matrix is singular"
+        if inv is None:
+            raise ValueError("matrix is singular or not square")
         return inv
 
     def __repr__(self):

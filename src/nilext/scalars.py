@@ -57,12 +57,12 @@ class Cyc12:
         other = _as_cyc(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc12(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _cyc12(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc12(tuple(-a for a in self.coeffs))
+        return _cyc12(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         other = _as_cyc(other)
@@ -93,7 +93,7 @@ class Cyc12:
                 red = _ZPOW[k]
                 for t in range(4):
                     out[t] += acc[k] * red[t]
-        return Cyc12(out)
+        return _cyc12(tuple(out))
 
     __rmul__ = __mul__
 
@@ -107,7 +107,7 @@ class Cyc12:
                 red = _ZPOW[(j * k) % 12]
                 for t in range(4):
                     acc[t] += a * red[t]
-        return Cyc12(acc)
+        return _cyc12(tuple(acc))
 
     def inverse(self) -> "Cyc12":
         if not any(self.coeffs):
@@ -116,7 +116,7 @@ class Cyc12:
         norm = self * conj
         assert norm.coeffs[1] == 0 and norm.coeffs[2] == 0 and norm.coeffs[3] == 0
         n = norm.coeffs[0]
-        return Cyc12(tuple(c / n for c in conj.coeffs))
+        return _cyc12(tuple(c / n for c in conj.coeffs))
 
     def __truediv__(self, other):
         other = _as_cyc(other)
@@ -167,6 +167,15 @@ class Cyc12:
 
     def __repr__(self):
         return "Cyc12(%s)" % render_cyc(self)
+
+
+def _cyc12(coeffs):
+    """A Cyc12 holding the tuple ``coeffs`` as it is. Cyc12's own
+    arithmetic builds its results here: their four coordinates are
+    Fractions already, so the public constructor's conversion is skipped."""
+    x = object.__new__(Cyc12)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
 
 
 def _as_cyc(x):

@@ -160,3 +160,82 @@ def test_cd_routes_agree_on_catalog_samples():
         a = catalog.instantiate(eid, vals)
         by_ids = all(a.satisfies(nm) for nm in ("cd1", "cd2", "cd3"))
         assert by_ids == a.is_cd_by_operators()
+
+
+def _reference_is_nilpotent(a):
+    """Nilpotency of the multiplication algebra M(A), built as the
+    associative closure of the L_e and R_e in flattened n x n matrices,
+    by taking its powers until they vanish or stop shrinking."""
+    f, n = a.field, a.dim
+    mats = []
+    for i in range(n):
+        e = a.basis_vector(i)
+        mats += [a.left_mult(e), a.right_mult(e)]
+    span = Subspace(f, n * n, [m.flatten() for m in mats])
+    basis_mats = [Matrix.unflatten(f, n, v) for v in span.basis]
+    grew = True
+    while grew:
+        grew = False
+        for x in list(basis_mats):
+            for y in list(basis_mats):
+                flat = (x * y).flatten()
+                if not span.contains(flat):
+                    span = span.add(Subspace(f, n * n, [flat]))
+                    basis_mats.append(x * y)
+                    grew = True
+    gens = [Matrix.unflatten(f, n, v) for v in span.basis]
+    power = span
+    for _ in range(span.dim + 1):
+        if power.dim == 0:
+            break
+        nxt = Subspace(f, n * n, [(g * Matrix.unflatten(f, n, v)).flatten()
+                                  for g in gens for v in power.basis])
+        if nxt.dim == power.dim:
+            return False
+        power = nxt
+    return power.dim == 0
+
+
+def test_is_nilpotent_matches_reference_on_catalog():
+    for eid in catalog.all_ids():
+        a = catalog.instantiate(eid, catalog.sample_parameters(eid, 1)[0])
+        assert a.is_nilpotent() == _reference_is_nilpotent(a) is True
+
+
+def _random_invertible(f, rng, n):
+    while True:
+        m = Matrix(f, [[f.random(rng) for _ in range(n)] for _ in range(n)])
+        if m.is_invertible():
+            return m
+
+
+def test_is_nilpotent_matches_reference_random():
+    """Seeded random tables of dims 2-4: strictly upper triangular (always
+    nilpotent), the same moved to a random basis (nilpotent, not
+    triangular), and unrestricted sparse tables (often not nilpotent)."""
+    rng = random.Random(35)
+    outcomes = set()
+    for name in ("Q", "F2", "F3", "F5"):
+        f = FIELDS[name]
+        for trial in range(36):
+            n = rng.randrange(2, 5)
+            kind = ("upper", "moved", "unrestricted")[trial % 3]
+            density = rng.choice((0.15, 0.3, 0.6))
+            table = [[[f.random(rng) if (rng.random() < density if
+                                         kind == "unrestricted"
+                                         else k > max(i, j)) else f.zero
+                       for k in range(n)] for j in range(n)]
+                     for i in range(n)]
+            if kind == "moved":
+                a = Algebra(f, table)
+                phi = _random_invertible(f, rng, n)
+                inv = phi.inverse()
+                table = [[phi.apply(a.multiply(inv.col(i), inv.col(j)))
+                          for j in range(n)] for i in range(n)]
+            a = Algebra(f, table)
+            got = a.is_nilpotent()
+            assert got == _reference_is_nilpotent(a)
+            assert got or kind == "unrestricted"
+            outcomes.add((kind, got, bool(a._nonzero)))
+    assert {("unrestricted", False, True), ("unrestricted", True, True),
+            ("moved", True, True)} <= outcomes

@@ -1,7 +1,9 @@
 import random
 
+from nilext import catalog, orbits, tables
+from nilext.exprs import eval_str
 from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
-                           solve_linear, zero_vec)
+                           solve_linear, vec_scale, vec_sub, zero_vec)
 from nilext.scalars import FIELDS
 
 
@@ -145,3 +147,102 @@ def test_subspace_pivots_match_leading_entries():
                     ref = _reference_coords(sub, v)
                     assert sub.coords_of(v) == ref
                     assert sub.contains(v) == (ref is not None)
+
+
+def _reference_rref(m):
+    """rref by dense elimination: scale and subtract whole rows."""
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.one / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = vec_sub(rows[i], vec_scale(rows[i][c], rows[r]))
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _assert_rref_matches_reference(m):
+    rows, pivots = m.rref()
+    ref_rows, ref_pivots = _reference_rref(m)
+    assert pivots == ref_pivots
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        assert len(row) == len(ref)
+        for x, y in zip(row, ref):
+            assert type(x) is type(y) and x == y
+
+
+def _random_sparse_matrix(f, rng):
+    """1-20 rows, 1-17 columns, some zero columns and zero rows, and
+    rows that are combinations of earlier rows (so rank-deficient)."""
+    nr, nc = rng.randrange(1, 21), rng.randrange(1, 18)
+    density = rng.choice((0.15, 0.4, 0.8))
+    zero_cols = set(rng.sample(range(nc), rng.randrange(nc)))
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(zero_vec(f, nc))
+        elif kind < 0.3 and rows:
+            row = zero_vec(f, nc)
+            for prev in rng.sample(rows, min(len(rows), 2)):
+                c = f.random(rng)
+                row = [x + c * y for x, y in zip(row, prev)]
+            rows.append(row)
+        else:
+            rows.append([f.random(rng) if j not in zero_cols
+                         and rng.random() < density else f.zero
+                         for j in range(nc)])
+    return Matrix(f, rows)
+
+
+def test_rref_matches_dense_reference_random():
+    rng = random.Random(27)
+    for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for _ in range(12 if name == "QZ12" else 40):
+            _assert_rref_matches_reference(_random_sparse_matrix(f, rng))
+
+
+def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
+    """Every matrix that an iso_search query on a relation and on a
+    fingerprint-equal distinctness pair hands to rref."""
+    seen = []
+    rref = Matrix.rref
+
+    def recording(m):
+        seen.append(Matrix(m.field, m.rows))
+        return rref(m)
+    monkeypatch.setattr(Matrix, "rref", recording)
+    f = FIELDS["Q"]
+    grid = [f.one, -f.one, f.zero]
+    rid, images, _ = tables.RELATIONS[0]
+    vals = catalog.sample_parameters(rid, 1, 3)[0]
+    moved = {nm: eval_str(src, f, vals)
+             for nm, src in zip(tables.N4[rid]["params"], images)}
+    v = orbits.iso_search(catalog.instantiate(rid, vals),
+                          catalog.instantiate(rid, moved), grid=grid,
+                          primes=())
+    assert v.kind == "witness"
+    a, b = (catalog.instantiate(eid, catalog.sample_parameters(eid, 1, 3)[0])
+            for eid in ("N4_13", "N4_14"))
+    assert orbits.iso_search(a, b, grid=grid, primes=(2,)).kind == "undecided"
+    monkeypatch.undo()
+    assert len({m.field.name for m in seen}) == 2 and len(seen) > 100
+    for m in seen:
+        _assert_rref_matches_reference(m)

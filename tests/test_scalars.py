@@ -117,9 +117,11 @@ def test_validation_survives_python_O():
 import contextlib, io
 from fractions import Fraction
 from nilext import catalog, cli, tables
+from nilext.algebra import Algebra
 from nilext.exprs import poly_str
 from nilext.extensions import is_split, parse_form
 from nilext.identities import Identity
+from nilext.linalg import Matrix
 from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
                            iso_search_fp, orbit_census_fp)
 from nilext.poly import MultiPoly
@@ -171,6 +173,10 @@ raises(ValueError, MultiPoly.var("x").constant_value)
 raises(ValueError, pow, MultiPoly.var("x"), -1)
 raises(ValueError, pow, MultiPoly.var("x"), 2.0)
 raises(ValueError, catalog.sample_parameters, "N4_42", 0)
+raises(ValueError, catalog.verify_catalog, "bogus")
+raises(ValueError, Matrix(QQ, [[QQ.one, QQ.one], [QQ.one, QQ.one]]).inverse)
+raises(ValueError, Matrix, QQ, [[QQ.one, QQ.one], [QQ.one]])
+raises(ValueError, Algebra, QQ, [[[0, 0], [0]], [[0, 0], [0, 0]]])
 for n in ("0", "-1"):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
