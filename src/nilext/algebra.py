@@ -111,21 +111,30 @@ class Algebra:
         what nilpotency of A means. M(A) is the associative algebra
         generated by the operators L_e and R_e; it is not built.
 
-        Let V_0 = A and V_{k+1} = A V_k + V_k A, spanned from products of
-        basis vectors. M(A)^k is spanned by the operator words of length
-        at least k. The words of length exactly k applied to A span V_k,
-        and V_1 = A A lies in V_0, so by induction V_{k+1} lies in V_k and
-        M(A)^k A = V_k. An operator is zero when it kills A, so M(A) is
-        nilpotent exactly when some V_k is 0. Once V_{k+1} = V_k every
-        later term equals V_k, so the loop stops there."""
+        Let V_0 = A, V_1 = A A (the span of the table's vectors) and
+        V_{k+1} = A V_k + V_k A. M(A)^k is spanned by the operator words
+        of length at least k. The words of length exactly k applied to A
+        span V_k, and V_1 lies in V_0, so by induction V_{k+1} lies in V_k
+        and M(A)^k A = V_k. An operator is zero when it kills A, so M(A)
+        is nilpotent exactly when some V_k is 0. Once V_{k+1} = V_k every
+        later term equals V_k, so the loop stops there. Each e_i x and
+        x e_i is summed from the nonzero structure constants alone."""
         if "nilpotent" in self._cache:
             return self._cache["nilpotent"]
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        v = self.subspace(basis)
+        z = self.field.zero
+        n = self.dim
+        v = self.subspace([self.table[i][j] for i, j in self._nonzero])
         while v.dim:
-            nxt = self.subspace([p for x in v.basis for e in basis
-                                 for p in (self.multiply(e, x),
-                                           self.multiply(x, e))])
+            prods = []
+            for x in v.basis:
+                out = [[z] * n for _ in range(2 * n)]  # e_i x, then x e_i
+                for (i, j), terms in self._nonzero.items():
+                    for p, c in ((i, x[j]), (n + j, x[i])):
+                        if c:
+                            for k, s in terms:
+                                out[p][k] = out[p][k] + c * s
+                prods += out
+            nxt = self.subspace(prods)
             if nxt.dim == v.dim:
                 break
             v = nxt
@@ -197,7 +206,9 @@ class Algebra:
 
 
 def is_homomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
-    assert phi.nrows == b.dim and phi.ncols == a.dim
+    if phi.nrows != b.dim or phi.ncols != a.dim:
+        raise ValueError("map is %d x %d, not %d x %d"
+                         % (phi.nrows, phi.ncols, b.dim, a.dim))
     for i in range(a.dim):
         for j in range(a.dim):
             lhs = phi.apply(a.table[i][j])

@@ -5,9 +5,16 @@ identity is a signed combination of words in which every word contains
 each variable exactly once, so checking it on all basis tuples is a
 complete test.
 
-Word values are memoised per algebra: a concrete word such as ((e0*e1)*e2)
-is evaluated once, as a sparse vector, and kept in ``Algebra._cache``. That
-relies on an algebra's structure table never changing after construction.
+Words are evaluated bottom-up over sparse tables. A word's shape is the
+word with its variables renumbered in order of appearance, so ((0,1),2)
+and ((1,2),0) share the shape ((0,1),2). The table of a shape maps each
+tuple of basis indices, one per variable in that order, to the word's
+nonzero value {index: coefficient}; zero values are not stored. A
+product's table is built from the pairs of nonzero entries of its factors'
+tables that meet a nonzero structure constant, so the work follows the
+nonzero products and not dim ** arity. Tables are kept per algebra in
+``Algebra._cache["words"]``, which relies on an algebra's structure table
+never changing after construction.
 """
 
 from __future__ import annotations
@@ -15,17 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from .linalg import Matrix, Subspace, kernel_basis
-
-
-def _word_vars(word, acc):
-    if isinstance(word, int):
-        acc.append(word)
-    else:
-        _word_vars(word[0], acc)
-        _word_vars(word[1], acc)
-    return acc
 
 
 def render_word(word) -> str:
@@ -42,7 +41,9 @@ class Identity:
 
     def __post_init__(self):
         for _, w in self.terms:
-            if sorted(_word_vars(w, [])) != list(range(self.arity)):
+            order = []
+            _shape(w, order)
+            if sorted(order) != list(range(self.arity)):
                 raise ValueError("identity %s is not multilinear" % self.name)
 
     def render(self) -> str:
@@ -57,46 +58,78 @@ class Identity:
         return " ".join(bits)
 
 
-def _subst(word, tup):
-    """The concrete word with each variable replaced by its basis index."""
+def _shape(word, order):
+    """The word with its variables renumbered in order of appearance; the
+    original variables are appended to ``order`` as they appear."""
     if isinstance(word, int):
-        return tup[word]
-    return (_subst(word[0], tup), _subst(word[1], tup))
+        order.append(word)
+        return len(order) - 1
+    return (_shape(word[0], order), _shape(word[1], order))
 
 
-def _value(algebra, word):
-    """Sparse value {index: coefficient} of a concrete word, memoised."""
-    if isinstance(word, int):
-        return {word: algebra.field.one}
+def _table(algebra, shape):
+    """{basis tuple: nonzero sparse value} of a shape, memoised."""
     memo = algebra._cache.setdefault("words", {})
-    if word not in memo:
-        z = algebra.field.zero
-        out = {}
-        for i, x in _value(algebra, word[0]).items():
-            for j, y in _value(algebra, word[1]).items():
-                for k, c in algebra._nonzero.get((i, j), ()):
-                    out[k] = out.get(k, z) + x * y * c
-        memo[word] = {k: c for k, c in out.items() if c}
-    return memo[word]
+    if shape in memo:
+        return memo[shape]
+    if isinstance(shape, int):
+        one = algebra.field.one
+        memo[shape] = {(i,): {i: one} for i in range(algebra.dim)}
+        return memo[shape]
+    rows = {}  # i -> [(j, structure constants of e_i e_j)]
+    for (i, j), terms in algebra._nonzero.items():
+        rows.setdefault(i, []).append((j, terms))
+    right = {}  # j -> [(tuple, coefficient of e_j)] over the right table
+    for t, x in _table(algebra, _shape(shape[1], [])).items():
+        for j, c in x.items():
+            right.setdefault(j, []).append((t, c))
+    acc = {}
+    for tu, xu in _table(algebra, shape[0]).items():
+        for i, a in xu.items():
+            for j, terms in rows.get(i, ()):
+                for tv, b in right.get(j, ()):
+                    ab = a * b
+                    out = acc.setdefault(tu + tv, {})
+                    for k, c in terms:
+                        out[k] = out[k] + ab * c if k in out else ab * c
+    table = {t: {k: c for k, c in out.items() if c} for t, out in acc.items()}
+    memo[shape] = {t: out for t, out in table.items() if out}
+    return memo[shape]
 
 
-def _instances(algebra, ident: Identity):
-    """Pairs (basis tuple, [(coefficient, concrete word)]) for every tuple."""
-    coeffs = [algebra.field.from_fraction(c) for c, _ in ident.terms]
-    for tup in product(range(algebra.dim), repeat=ident.arity):
-        yield tup, [(cf, _subst(w, tup)) for cf, (_, w) in zip(coeffs, ident.terms)]
+def _entries(algebra, factors):
+    """(basis tuple in variable order, [value of each factor]) for every
+    choice of one nonzero table entry per factor. The factors' variables
+    together must be 0 .. arity-1, each once."""
+    order = []
+    tables = []
+    for w in factors:
+        part = []
+        tables.append(_table(algebra, _shape(w, part)).items())
+        order += part
+    pos = sorted(range(len(order)), key=order.__getitem__)
+    place = None if order == sorted(order) else itemgetter(*pos)
+    for picks in product(*tables):
+        tup = sum((t for t, _ in picks), ())
+        yield (place(tup) if place else tup), [x for _, x in picks]
 
 
 def first_failure(algebra, ident: Identity):
-    """First basis tuple where the identity fails, with the value, or None."""
-    for tup, terms in _instances(algebra, ident):
-        acc = [algebra.field.zero] * algebra.dim
-        for cf, w in terms:
-            for k, x in _value(algebra, w).items():
-                acc[k] = acc[k] + cf * x
-        if any(acc):
-            return tup, acc
-    return None
+    """First basis tuple, in product order, where the identity fails, with
+    its value as a dense vector; None if the identity holds."""
+    z = algebra.field.zero
+    acc = {}
+    for c, w in ident.terms:
+        cf = algebra.field.from_fraction(c)
+        for tup, (x,) in _entries(algebra, [w]):
+            out = acc.setdefault(tup, {})
+            for k, y in x.items():
+                out[k] = out[k] + cf * y if k in out else cf * y
+    failing = [tup for tup, out in acc.items() if any(out.values())]
+    if not failing:
+        return None
+    tup = min(failing)
+    return tup, [acc[tup].get(k, z) for k in range(algebra.dim)]
 
 
 def holds(algebra, ident: Identity) -> bool:
@@ -110,24 +143,27 @@ def induced_cocycle_constraints(algebra, ident: Identity) -> Subspace:
 
     The extension's product discards the added coordinate, so inner products
     evaluate in the base algebra and only the outermost product of each word
-    contributes a theta term. Raises ValueError when the base algebra itself
-    fails the identity.
+    contributes a theta term: the coefficient of theta(e_i, e_j) at a basis
+    tuple is the sum over terms of the coefficient times the i-th entry of
+    the left factor and the j-th of the right. Raises ValueError when the
+    base algebra itself fails the identity.
     """
     if not (algebra.satisfies(ident.name) if _BUILTINS.get(ident.name) is ident
             else holds(algebra, ident)):
         raise ValueError("base algebra fails %s" % ident.name)
     f = algebra.field
     n = algebra.dim
-    rows = []
-    for _, terms in _instances(algebra, ident):
-        row = [f.zero] * (n * n)
-        for cf, (u, v) in terms:
-            for i, x in _value(algebra, u).items():
+    acc = {}
+    for c, w in ident.terms:
+        cf = f.from_fraction(c)
+        for tup, (xu, xv) in _entries(algebra, w):
+            row = acc.setdefault(tup, {})
+            for i, x in xu.items():
                 cx = cf * x
-                for j, y in _value(algebra, v).items():
-                    row[i * n + j] = row[i * n + j] + cx * y
-        if any(row):
-            rows.append(row)
+                for j, y in xv.items():
+                    row[i * n + j] = row.get(i * n + j, f.zero) + cx * y
+    rows = [[acc[tup].get(ij, f.zero) for ij in range(n * n)]
+            for tup in sorted(acc) if any(acc[tup].values())]
     return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
                     else Matrix.identity(f, n * n).rows)
 

@@ -58,7 +58,8 @@ class Matrix:
 
     @classmethod
     def unflatten(cls, field, n, flat):
-        assert len(flat) == n * n
+        if len(flat) != n * n:
+            raise ValueError("%d entries for %d x %d" % (len(flat), n, n))
         return cls(field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
     def transpose(self):
@@ -67,7 +68,9 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            assert self.ncols == other.nrows
+            if self.ncols != other.nrows:
+                raise ValueError("inner sizes %d and %d differ"
+                                 % (self.ncols, other.nrows))
             z = self.field.zero
             out = []
             for r in self.rows:
@@ -83,7 +86,9 @@ class Matrix:
         return NotImplemented
 
     def apply(self, vec):
-        assert len(vec) == self.ncols
+        if len(vec) != self.ncols:
+            raise ValueError("vector length %d, not %d"
+                             % (len(vec), self.ncols))
         z = self.field.zero
         out = []
         for r in self.rows:
@@ -94,12 +99,18 @@ class Matrix:
             out.append(acc)
         return out
 
+    def _entrywise(self, op, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix shapes differ")
+        return Matrix(self.field, [op(a, b) for a, b in zip(self.rows, other.rows)])
+
     def __add__(self, other):
-        assert isinstance(other, Matrix)
-        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return self._entrywise(vec_add, other)
 
     def __sub__(self, other):
-        return Matrix(self.field, [vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return self._entrywise(vec_sub, other)
 
     def scale(self, c):
         return Matrix(self.field, [vec_scale(c, r) for r in self.rows])
@@ -226,7 +237,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        assert len(vec) == self.ambient
+        if len(vec) != self.ambient:
+            raise ValueError("vector length %d, not %d"
+                             % (len(vec), self.ambient))
         f = self.field
         v = list(vec)
         for b, lead in zip(self.basis, self.pivots):
@@ -246,12 +259,17 @@ class Subspace:
                 v = vec_sub(v, vec_scale(c, b))
         return coords if is_zero_vec(f, v) else None
 
+    def _same_ambient(self, other):
+        if self.ambient != other.ambient:
+            raise ValueError("ambient sizes %d and %d differ"
+                             % (self.ambient, other.ambient))
+
     def add(self, other) -> "Subspace":
-        assert self.ambient == other.ambient
+        self._same_ambient(other)
         return Subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
 
     def intersect(self, other) -> "Subspace":
-        assert self.ambient == other.ambient
+        self._same_ambient(other)
         if not self.basis or not other.basis:
             return Subspace(self.field, self.ambient)
         cols = [list(b) for b in self.basis] + [list(b) for b in other.basis]
@@ -282,9 +300,9 @@ def complement_reps(u: Subspace, w: Subspace):
 
     Requires w to be a subspace of u; returns dim u - dim w vectors.
     """
-    assert u.ambient == w.ambient
-    for b in w.basis:
-        assert u.contains(b), "second argument is not contained in the first"
+    u._same_ambient(w)
+    if not all(u.contains(b) for b in w.basis):
+        raise ValueError("second argument is not contained in the first")
     reps = []
     cur = w
     for b in u.basis:

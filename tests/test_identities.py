@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from nilext import catalog
 from nilext.algebra import Algebra
 from nilext.extensions import BilinearForm, central_extension
-from nilext.identities import (ALIA_NAMES, CD_NAMES, builtin, builtin_names,
-                               first_failure, holds,
+from nilext.identities import (ALIA_NAMES, CD_NAMES, Identity, builtin,
+                               builtin_names, first_failure, holds,
                                induced_cocycle_constraints)
 from nilext.linalg import Matrix, Subspace, is_zero_vec, kernel_basis, zero_vec
 from nilext.scalars import FIELDS, QQ
@@ -166,3 +167,123 @@ def test_memoised_evaluator_agrees_with_dense_reference():
         for nm in CD_NAMES + ALIA_NAMES:
             assert (induced_cocycle_constraints(a, builtin(nm))
                     == _dense_constraints(a, builtin(nm))), (bid, vals, nm)
+
+
+def _random_dense(rng, f, n):
+    """Random table with most entries nonzero; rarely nilpotent."""
+    table = [[[f.random(rng) if rng.random() < 0.8 else f.zero
+               for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return Algebra(f, table, label="dense%d" % n)
+
+
+def _custom(name, arity, terms):
+    return Identity(name, arity, tuple((Fraction(c), w) for c, w in terms))
+
+
+# Variables out of order inside words, repeated shapes under different
+# variable orders, a coefficient of 2, and arities 1 and 5.
+CUSTOM = (
+    _custom("shuffled4", 4, [(1, ((2, (0, 3)), 1)), (-1, (3, ((1, 0), 2))),
+                             (2, ((1, 2), (3, 0))), (1, ((3, (2, 1)), 0))]),
+    _custom("reorder3", 3, [(1, ((0, 1), 2)), (-1, ((1, 2), 0)),
+                            (1, ((2, 0), 1))]),
+    _custom("twice1", 1, [(2, 0)]),
+    _custom("cancel1", 1, [(1, 0), (-1, 0)]),
+    _custom("five", 5, [(1, (((0, 1), 2), (3, 4))), (-1, ((4, (2, 0)), (1, 3))),
+                        (1, (0, (1, (2, (3, 4))))), (-1, (((3, 1), 4), (0, 2)))]),
+)
+
+
+def _random_algebras(seed, specs):
+    """One random algebra per (field name, kind, dim); kind is "nil" for a
+    strictly triangular table and "dense" for a mostly nonzero one."""
+    rng = random.Random(seed)
+    make = {"nil": _random_nilpotent, "dense": _random_dense}
+    return [make[kind](rng, FIELDS[nm], n) for nm, kind, n in specs]
+
+
+# QZ12 arithmetic is the slowest, so its tables stay small.
+SPECS = [(nm, kind, n) for nm in ("Q", "F2", "F3", "F5")
+         for kind, n in (("nil", 3), ("nil", 4), ("dense", 2), ("dense", 4))]
+SPECS += [("QZ12", "nil", 3), ("QZ12", "dense", 2), ("QZ12", "dense", 3)]
+
+
+def test_evaluator_agrees_with_dense_reference_on_fields():
+    idents = [builtin(nm) for nm in builtin_names()] + list(CUSTOM[:4])
+    held = 0
+    algebras = _random_algebras(53, SPECS)
+    for a in algebras:
+        for ident in idents:
+            want = _dense_first_failure(a, ident)
+            assert first_failure(a, ident) == want, (a.label, ident.name)
+            assert holds(a, ident) == (want is None), (a.label, ident.name)
+            held += want is None
+    assert 0 < held < len(algebras) * len(idents)
+    # twice1 holds exactly in characteristic 2
+    for a in _random_algebras(54, [("F2", "dense", 2), ("F3", "dense", 2)]):
+        assert holds(a, CUSTOM[2]) == (a.field is FIELDS["F2"])
+        assert holds(a, CUSTOM[3])
+
+
+def test_evaluator_agrees_with_dense_reference_arity_five():
+    ident = CUSTOM[4]
+    held = 0
+    algebras = _random_algebras(55, [(nm, kind, n) for nm in ("Q", "F2", "F3")
+                                     for kind in ("nil", "dense")
+                                     for n in (2, 3)])
+    for a in algebras:
+        want = _dense_first_failure(a, ident)
+        assert first_failure(a, ident) == want, a.label
+        held += want is None
+    assert 0 < held < len(algebras)
+
+
+def _canonical(word, seen):
+    if isinstance(word, int):
+        seen.append(word)
+        return len(seen) - 1
+    return (_canonical(word[0], seen), _canonical(word[1], seen))
+
+
+def _subshapes(word, acc):
+    """Shapes of the word and of every subword, each renumbered from 0."""
+    acc.add(_canonical(word, []))
+    if not isinstance(word, int):
+        _subshapes(word[0], acc)
+        _subshapes(word[1], acc)
+    return acc
+
+
+def test_word_tables_are_shared_by_shape():
+    a = catalog.instantiate("CD3_02")
+    idents = [builtin(nm) for nm in builtin_names()] + list(CUSTOM)
+    want = set()
+    for ident in idents:
+        holds(a, ident)
+        for _, w in ident.terms:
+            _subshapes(w, want)
+    assert set(a._cache["words"]) == want
+    # ((0,1),2) and ((1,2),0) share one table
+    assert _canonical(((1, 2), 0), []) == ((0, 1), 2)
+
+
+def test_induced_constraints_agree_with_dense_reference_random():
+    idents = ([builtin(nm) for nm in CD_NAMES + ALIA_NAMES
+               + ("jacobi_commutator", "left3zero", "commutative")]
+              + [CUSTOM[0], CUSTOM[1]])
+    checked = refused = 0
+    nontrivial = set()
+    specs = [(nm, "nil", n) for nm in ("Q", "F2", "F3", "F5") for n in (3, 4)]
+    for a in _random_algebras(57, specs + [("QZ12", "nil", 3)]):
+        for ident in idents:
+            if not holds(a, ident):
+                refused += 1
+                with pytest.raises(ValueError):
+                    induced_cocycle_constraints(a, ident)
+                continue
+            space = induced_cocycle_constraints(a, ident)
+            assert space == _dense_constraints(a, ident), (a.label, ident.name)
+            checked += 1
+            if space.dim < a.dim * a.dim:
+                nontrivial.add(ident.name)
+    assert checked and refused and len(nontrivial) >= 5

@@ -117,11 +117,11 @@ def test_validation_survives_python_O():
 import contextlib, io
 from fractions import Fraction
 from nilext import catalog, cli, tables
-from nilext.algebra import Algebra
+from nilext.algebra import Algebra, is_homomorphism
 from nilext.exprs import poly_str
 from nilext.extensions import is_split, parse_form
 from nilext.identities import Identity
-from nilext.linalg import Matrix
+from nilext.linalg import Matrix, Subspace, complement_reps
 from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
                            iso_search_fp, orbit_census_fp)
 from nilext.poly import MultiPoly
@@ -153,6 +153,8 @@ aut = tables.SETUPS["CD3_01"]["aut"]
 fam = AutFamily.from_strings("CD3_01", aut["vars"], aut["nonzero"], aut["rows"])
 raises(ValueError, fam.specialize, QQ, {"x": QQ.from_int(0), "y": QQ.from_int(5)})
 raises(ValueError, Identity, "x1*x1", 2, ((Fraction(1), (0, 0)),))
+raises(ValueError, Identity, "x1", 2, ((Fraction(1), 0),))
+raises(ValueError, Identity, "x1*x3", 2, ((Fraction(1), (0, 2)),))
 raises(ValueError, is_split, catalog.instantiate("CD3_01"),
        [parse_form("D(1,2)", 3, QQ)])
 out = io.StringIO()
@@ -177,6 +179,22 @@ raises(ValueError, catalog.verify_catalog, "bogus")
 raises(ValueError, Matrix(QQ, [[QQ.one, QQ.one], [QQ.one, QQ.one]]).inverse)
 raises(ValueError, Matrix, QQ, [[QQ.one, QQ.one], [QQ.one]])
 raises(ValueError, Algebra, QQ, [[[0, 0], [0]], [[0, 0], [0, 0]]])
+m23 = Matrix(QQ, [[QQ.one] * 3] * 2)
+m22 = Matrix.identity(QQ, 2)
+raises(ValueError, lambda: m23 + m22)
+raises(ValueError, lambda: m23 - m22)
+raises(ValueError, lambda: m23 * m23)
+raises(ValueError, m23.apply, [QQ.one, QQ.one])
+raises(ValueError, Matrix.unflatten, QQ, 2, [QQ.one] * 3)
+s2 = Subspace(QQ, 2, m22.rows)
+s3 = Subspace(QQ, 3, m23.rows)
+raises(ValueError, s2.contains, [QQ.one] * 3)
+raises(ValueError, s2.add, s3)
+raises(ValueError, s2.intersect, s3)
+raises(ValueError, complement_reps, s2, s3)
+raises(ValueError, complement_reps, Subspace(QQ, 2, m22.rows[:1]), s2)
+cd = catalog.instantiate("CD3_01")
+raises(ValueError, is_homomorphism, cd, cd, m22)
 for n in ("0", "-1"):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
