@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import identities
-from .linalg import (Matrix, Subspace, kernel_basis, is_zero_vec, zero_vec,
-                     complement_reps)
+from .linalg import Matrix, Subspace, kernel_basis, is_zero_vec, zero_vec
 
 
 class Algebra:
@@ -65,10 +64,6 @@ class Algebra:
     def subspace(self, vectors):
         return Subspace(self.field, self.dim, vectors)
 
-    def product_space(self, u: Subspace, v: Subspace) -> Subspace:
-        vecs = [self.multiply(a, b) for a in u.basis for b in v.basis]
-        return self.subspace(vecs)
-
     def annihilator(self, side="both") -> Subspace:
         """Vectors x with x*A = 0 (left), A*x = 0 (right), or both;
         memoised, as the structure table is never mutated."""
@@ -99,9 +94,9 @@ class Algebra:
         cap = self.dim * self.dim + 2
         while dims[-1] > 0 and len(powers) < cap:
             k = len(powers) + 1
-            acc = self.subspace([])
-            for i in range(1, k):
-                acc = acc.add(self.product_space(powers[i - 1], powers[k - i - 1]))
+            acc = self.subspace([self.multiply(a, b) for i in range(1, k)
+                                 for a in powers[i - 1].basis
+                                 for b in powers[k - i - 1].basis])
             powers.append(acc)
             dims.append(acc.dim)
         return dims

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 from . import tables
 from .algebra import Algebra, fingerprint
-from .exprs import eval_str
-from .extensions import (BilinearForm, central_extension, cohomology,
-                         _field_env)
+from .exprs import eval_str, field_env, poly_str
+from .extensions import BilinearForm, central_extension, cohomology
 from .identities import ALIA_NAMES, CD_NAMES, builtin, holds, \
     induced_cocycle_constraints
-from .linalg import Matrix, Subspace, zero_vec
-from .orbits import iso_search
+from .linalg import Subspace, zero_vec
+from .orbits import AutFamily, iso_search, verify_transform_table
+from .poly import POLY_RING
 from .scalars import FIELDS, QQ
 
 
@@ -49,7 +49,7 @@ def _converted(e, values, field):
     unknown = sorted(set(values) - set(e["params"]))
     if unknown:
         raise ValueError("unknown parameter: " + unknown[0])
-    env = _field_env(field)
+    env = field_env(field)
     conv = {}
     for name in e["params"]:
         if name not in values:
@@ -84,20 +84,29 @@ def instantiate(entry_id: str, values=None, field=QQ) -> Algebra:
                    params=conv)
 
 
+def _grid(spec, n, zero, value):
+    """n x n grid holding the sum of value(src) at (i, j), 1-based, over
+    the (src, i, j) terms of spec."""
+    g = [[zero] * n for _ in range(n)]
+    for src, i, j in spec:
+        g[i - 1][j - 1] = g[i - 1][j - 1] + value(src)
+    return g
+
+
 def named_forms(base_id: str, field, env):
     """The seven dictionary forms of an extensible 3-dim algebra."""
-    setup = tables.SETUPS[base_id]
     n = tables.BASES[base_id]["dim"]
-    out = []
-    full_env = _field_env(field)
+    full_env = field_env(field)
     full_env.update(env)
-    for spec in setup["forms"]:
-        rows = [[field.zero] * n for _ in range(n)]
-        for src, i, j in spec:
-            rows[i - 1][j - 1] = rows[i - 1][j - 1] + eval_str(
-                src, field, full_env)
-        out.append(BilinearForm(field, rows))
-    return out
+    return [BilinearForm(field, _grid(spec, n, field.zero,
+                                      lambda s: eval_str(s, field, full_env)))
+            for spec in tables.SETUPS[base_id]["forms"]]
+
+
+def cd_flags(base_id: str):
+    """Which of a base's named forms are of derivation type (cd)."""
+    setup = tables.SETUPS[base_id]
+    return [k + 1 in setup["cd"] for k in range(len(setup["forms"]))]
 
 
 def construction(entry_id: str, values=None, field=QQ):
@@ -132,28 +141,16 @@ def reconstruct(entry_id: str, values=None, field=QQ) -> Algebra:
 
 def transform_check(base_id: str):
     """Symbolic pullback check of a base's recorded coefficient formulas."""
-    from .exprs import poly_str
-    from .orbits import AutFamily, verify_transform_table
-    from .poly import MultiPoly
     setup = tables.SETUPS[base_id]
     n = tables.BASES[base_id]["dim"]
     aut = setup["aut"]
     family = AutFamily.from_strings(base_id, aut["vars"], aut["nonzero"],
                                     aut["rows"])
     formulas = [poly_str(s) for s in setup["transform"]]
-    grids = []
-    for spec in setup["forms"]:
-        g = [[MultiPoly.const(0) for _ in range(n)] for _ in range(n)]
-        for src, i, j in spec:
-            g[i - 1][j - 1] = g[i - 1][j - 1] + poly_str(src)
-        grids.append(g)
-    b2_rows = []
-    for row_spec in setup["b2"]:
-        flat = [MultiPoly.const(0) for _ in range(n * n)]
-        for src, i, j in row_spec:
-            pos = (i - 1) * n + (j - 1)
-            flat[pos] = flat[pos] + poly_str(src)
-        b2_rows.append(flat)
+    grids = [_grid(spec, n, POLY_RING.zero, poly_str)
+             for spec in setup["forms"]]
+    b2_rows = [[c for row in _grid(spec, n, POLY_RING.zero, poly_str)
+                for c in row] for spec in setup["b2"]]
     return verify_transform_table(family, formulas, grids, b2_rows)
 
 
@@ -195,7 +192,7 @@ def sample_parameters(entry_id: str, count=3, seed=0):
                 trial = dict(vals)
                 trial[name] = seq[k % len(seq)]
                 ok = True
-                env = _field_env(QQ)
+                env = field_env(QQ)
                 env.update(trial)
                 for avoided in e["excluded"].get(name, ()):
                     if trial[name] == eval_str(avoided, QQ, env):
@@ -213,7 +210,7 @@ def sample_parameters(entry_id: str, count=3, seed=0):
     for rid, exprs, fname in tables.RELATIONS:
         if rid != entry_id or fname != "Q":
             continue
-        env = _field_env(QQ)
+        env = field_env(QQ)
         env.update(out[0])
         partner = {nm: eval_str(src, QQ, env)
                    for nm, src in zip(params, exprs)}
@@ -274,29 +271,31 @@ _COHOMOLOGY_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1), Fraction(2),
 _SPECIAL_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1))
 
 
+def _base_cases(bid):
+    """(values, tag, algebra) over Q for each swept lambda of a base, or the
+    one case with no values and an empty tag when it has no lambda."""
+    if "lambda" not in tables.BASES[bid]["params"]:
+        return [({}, "", instantiate(bid))]
+    return [({"lambda": lam}, "lambda=%s: " % lam,
+             instantiate(bid, {"lambda": lam}))
+            for lam in _COHOMOLOGY_LAMBDAS]
+
+
 def _check_cohomology():
     recs = []
     for bid in sorted(tables.SETUPS):
-        lam_values = [None]
-        if "lambda" in tables.BASES[bid]["params"]:
-            lam_values = list(_COHOMOLOGY_LAMBDAS)
         dim_ok = True
         dim_bits = []
         span_fail = []
         span_noted = []
-        for lam in lam_values:
-            vals = {} if lam is None else {"lambda": lam}
-            a = instantiate(bid, vals)
-            forms = named_forms(bid, QQ, vals)
-            flags = [k + 1 in tables.SETUPS[bid]["cd"] for k in range(7)]
-            coh = cohomology(a, forms, flags)
-            tag = "" if lam is None else "lambda=%s: " % lam
+        for vals, tag, a in _base_cases(bid):
+            coh = cohomology(a, named_forms(bid, QQ, vals), cd_flags(bid))
             dim_bits.append("%sdim=%d" % (tag, coh.h2_dim))
             if coh.h2_dim != 7:
                 dim_ok = False
             if not coh.canonical:
                 msg = "%s%s" % (tag, "; ".join(coh.notes) or "span mismatch")
-                if lam in _SPECIAL_LAMBDAS:
+                if vals.get("lambda") in _SPECIAL_LAMBDAS:
                     span_noted.append(msg)
                 else:
                     span_fail.append(msg)
@@ -393,9 +392,9 @@ def _evidence_str(verdict):
 
 
 def _relation_images(params, exprs, field, vals):
-    env = _field_env(field)
+    env = field_env(field)
     for nm, v in vals.items():
-        env[nm] = _to_field(field, v, _field_env(field))
+        env[nm] = _to_field(field, v, field_env(field))
     return {nm: eval_str(src, field, env) for nm, src in zip(params, exprs)}
 
 
@@ -478,22 +477,15 @@ def _check_corollaries(samples, seed):
             "fail" if bad else "pass",
             bad or "commutator identity at %d sample(s)" % tried))
     for bid in sorted(tables.ALIA_DIMS) + ["CD3_04"]:
-        if "lambda" in tables.BASES[bid]["params"]:
-            lam_values = list(_COHOMOLOGY_LAMBDAS)
-        else:
-            lam_values = [None]
         problems = []
-        for lam in lam_values:
-            vals = {} if lam is None else {"lambda": lam}
-            a = instantiate(bid, vals)
+        for vals, tag, a in _base_cases(bid):
             s0, s1, s2 = _alia_spaces(a)
-            tag = "" if lam is None else "lambda=%s: " % lam
             if not (s0 == s1 == s2):
                 problems.append(tag + "the three spaces differ")
                 continue
             want_dim = tables.ALIA_DIMS.get(bid)
             if bid == "CD3_04":
-                want_dim = tables.alia_dim_cd3_04(lam == 1)
+                want_dim = tables.alia_dim_cd3_04(vals["lambda"] == 1)
             if s0 != _expected_alia(a.field, want_dim):
                 problems.append("%sspace is not the expected %d-dim span"
                                 % (tag, want_dim))
@@ -520,7 +512,7 @@ def _check_corollaries(samples, seed):
             elif cond is None:
                 excluded = True
             else:
-                env = _field_env(QQ)
+                env = field_env(QQ)
                 excluded = vals[cond[0]] != eval_str(cond[1], QQ, env)
             if is_alia == excluded:
                 problems.append("at %s: alia=%s but exclusion list says %s"

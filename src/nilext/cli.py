@@ -6,9 +6,9 @@ import sys
 
 from . import catalog, tables
 from .algebra import fingerprint
-from .exprs import GREEK, eval_str
+from .exprs import GREEK, eval_str, field_env
 from .extensions import (cohomology, is_split, parse_form, render_form,
-                         central_extension, classify_line, _field_env)
+                         central_extension, classify_line)
 from .orbits import ResourceBound, iso_search, orbit_census_fp
 from .scalars import FIELDS, PrimeField
 
@@ -32,7 +32,7 @@ def parse_params(text, field):
         name = name.strip()
         name = GREEK.get(name, name)
         try:
-            out[name] = eval_str(val.strip(), field, _field_env(field))
+            out[name] = eval_str(val.strip(), field, field_env(field))
         except (ValueError, KeyError) as exc:
             raise UsageError("bad parameter value %r: %s" % (chunk, exc))
     return out
@@ -148,7 +148,7 @@ def _base_setup(entry_id, vals, field):
     named = flags = None
     if entry_id in tables.SETUPS:
         named = catalog.named_forms(entry_id, field, vals)
-        flags = [k + 1 in tables.SETUPS[entry_id]["cd"] for k in range(7)]
+        flags = catalog.cd_flags(entry_id)
     return a, named, flags
 
 

@@ -1,16 +1,18 @@
 """A small arithmetic expression language.
 
-Catalog coefficient strings like "(alpha*(lambda-2)+1)" and transformation
-formulas are parsed here, then either evaluated over a field or converted
-to a MultiPoly. Operators: + - * / ^ and parentheses; names are unicode
-identifiers (common greek letters are folded to their spelled-out form).
+Catalog coefficient strings like "(alpha*(lambda-2)+1)", transformation
+formulas and values typed at the command line are parsed here and evaluated
+by ``eval_field`` over a field, or over POLY_RING with each name bound to its
+own variable (``poly_str``). Operators: + - * / ^ and parentheses; names are
+unicode identifiers (common greek letters are folded to their spelled-out
+form).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import POLY_RING, MultiPoly
 
 GREEK = {
     "λ": "lambda", "α": "alpha", "β": "beta", "γ": "gamma",
@@ -128,7 +130,8 @@ def variables(ast) -> set:
 
 
 def eval_field(ast, field, env):
-    """Evaluate over a field; env maps variable names to field elements."""
+    """Evaluate over a field or POLY_RING; env maps variable names to its
+    elements."""
     kind = ast[0]
     if kind == "num":
         return field.from_fraction(ast[1])
@@ -154,32 +157,20 @@ def eval_field(ast, field, env):
     return a / b
 
 
-def to_poly(ast) -> MultiPoly:
-    """Convert to a MultiPoly; division is allowed by constants only."""
-    kind = ast[0]
-    if kind == "num":
-        return MultiPoly.const(ast[1])
-    if kind == "var":
-        return MultiPoly.var(ast[1])
-    if kind == "neg":
-        return -to_poly(ast[1])
-    if kind == "pow":
-        return to_poly(ast[1]) ** ast[2]
-    a = to_poly(ast[1])
-    b = to_poly(ast[2])
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    assert kind == "div"
-    return a / b
-
-
 def eval_str(s: str, field, env):
     return eval_field(parse(s), field, env)
 
 
 def poly_str(s: str) -> MultiPoly:
-    return to_poly(parse(s))
+    """The string as a polynomial in its names; a divisor must be a nonzero
+    constant (ValueError otherwise)."""
+    ast = parse(s)
+    return eval_field(ast, POLY_RING,
+                      {v: MultiPoly.var(v) for v in variables(ast)})
+
+
+def field_env(field):
+    """The names a field gives its own elements: z, i and omega in QZ12."""
+    return {label: getattr(field, nm)
+            for label, nm in (("z", "zeta"), ("i", "i"), ("omega", "omega"))
+            if hasattr(field, nm)}

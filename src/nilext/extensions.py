@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import identities
 from .algebra import Algebra
-from .exprs import eval_str
+from .exprs import eval_str, field_env
 from .linalg import Matrix, Subspace, complement_reps, kernel_basis, zero_vec
 
 
@@ -108,15 +108,6 @@ def render_form(theta: BilinearForm) -> str:
 _ATOM_RE = re.compile(r"^(?:(.+)\*)?([DN])\((\d+)(?:,(\d+))?\)$")
 
 
-def _field_env(field):
-    env = {}
-    for nm in ("zeta", "i", "omega"):
-        if hasattr(field, nm):
-            label = {"zeta": "z"}.get(nm, nm)
-            env[label] = getattr(field, nm)
-    return env
-
-
 def parse_form(text: str, dim: int, field, named=None, env=None) -> BilinearForm:
     """Parse 'a*D(i,j)+b*N(k)' literals (1-based indices).
 
@@ -142,7 +133,7 @@ def parse_form(text: str, dim: int, field, named=None, env=None) -> BilinearForm
         else:
             cur += ch
     terms.append(cur)
-    full_env = _field_env(field)
+    full_env = field_env(field)
     if env:
         full_env.update(env)
     total = BilinearForm.zero(field, dim)

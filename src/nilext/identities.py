@@ -27,12 +27,6 @@ from operator import itemgetter
 from .linalg import Matrix, Subspace, kernel_basis
 
 
-def render_word(word) -> str:
-    if isinstance(word, int):
-        return "x%d" % (word + 1)
-    return "(%s*%s)" % (render_word(word[0]), render_word(word[1]))
-
-
 @dataclass(frozen=True)
 class Identity:
     name: str
@@ -45,17 +39,6 @@ class Identity:
             _shape(w, order)
             if sorted(order) != list(range(self.arity)):
                 raise ValueError("identity %s is not multilinear" % self.name)
-
-    def render(self) -> str:
-        bits = []
-        for c, w in self.terms:
-            if c == 1:
-                bits.append("+%s" % render_word(w))
-            elif c == -1:
-                bits.append("-%s" % render_word(w))
-            else:
-                bits.append("%+s*%s" % (c, render_word(w)))
-        return " ".join(bits)
 
 
 def _shape(word, order):

@@ -247,18 +247,6 @@ class Subspace:
                 v = vec_sub(v, vec_scale(v[lead], b))
         return is_zero_vec(f, v)
 
-    def coords_of(self, vec):
-        """Coordinates on the canonical basis, or None if not contained."""
-        f = self.field
-        v = list(vec)
-        coords = []
-        for b, lead in zip(self.basis, self.pivots):
-            c = v[lead]
-            coords.append(c)
-            if c:
-                v = vec_sub(v, vec_scale(c, b))
-        return coords if is_zero_vec(f, v) else None
-
     def _same_ambient(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient sizes %d and %d differ"

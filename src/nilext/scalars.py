@@ -208,40 +208,6 @@ def render_cyc(x: Cyc12) -> str:
     return s
 
 
-def parse_cyc(s: str) -> Cyc12:
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty cyclotomic literal")
-    # split into signed terms at top level (the format has no parentheses)
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*/^":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    acc = Cyc12.from_rational(0)
-    for t in terms:
-        sign = 1
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:]
-        if "z" in t:
-            coef, _, tail = t.partition("z")
-            coef = coef.rstrip("*")
-            c = Fraction(coef) if coef else Fraction(1)
-            k = int(tail[1:]) if tail.startswith("^") else (1 if tail == "" else None)
-            if k is None:
-                raise ValueError("bad power in %r" % s)
-            acc = acc + Cyc12.zpower(k) * (sign * c)
-        else:
-            acc = acc + Fraction(t) * sign
-    return acc
-
-
 class FpElt:
     """Element of F_p, for p in 2, 3, 5 and 7.
 
@@ -386,9 +352,6 @@ class RationalField:
     def from_fraction(self, q) -> Fraction:
         return Fraction(q)
 
-    def parse(self, s: str):
-        return Fraction(s.strip())
-
     def render(self, x) -> str:
         return str(x)
 
@@ -415,9 +378,6 @@ class CyclotomicField12:
 
     def from_fraction(self, q) -> Cyc12:
         return Cyc12.from_rational(q)
-
-    def parse(self, s: str) -> Cyc12:
-        return parse_cyc(s)
 
     def render(self, x: Cyc12) -> str:
         return render_cyc(x)
@@ -446,15 +406,6 @@ class PrimeField:
 
     def from_fraction(self, q) -> FpElt:
         return _fp_from_fraction(Fraction(q), self.p)
-
-    def parse(self, s: str) -> FpElt:
-        s = s.strip()
-        if "mod" in s:
-            v, _, p = s.partition("mod")
-            if int(p) != self.p:
-                raise ValueError("%r is not an element of F%d" % (s, self.p))
-            return FpElt(int(v), self.p)
-        return self.from_fraction(Fraction(s))
 
     def render(self, x: FpElt) -> str:
         return "%d mod %d" % (x.v, x.p)

@@ -1,6 +1,9 @@
 import json
+import os
 
 from nilext import catalog, cli, tables
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run(capsys, *argv):
@@ -195,6 +198,15 @@ def test_verify_catalog_structured(capsys):
     assert payload["schema"] == tables.SCHEMA_VERSION
     assert payload["failures"] == 0
     assert len(payload["records"]) == 8
+
+
+def test_verify_catalog_all_matches_stored_report(capsys):
+    """The full text report is byte-identical to the stored one."""
+    code, out, err = run(capsys, "verify-catalog", "--scope", "all")
+    assert code == 0
+    with open(os.path.join(DATA, "verify_catalog_all.txt"),
+              encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
 
 
 def test_verify_catalog_rejects_nonpositive_samples(capsys):

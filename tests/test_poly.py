@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from nilext.exprs import eval_str, poly_str, variables, parse
+import pytest
+
+from nilext import tables
+from nilext.exprs import eval_str, field_env, poly_str, variables, parse
 from nilext.linalg import Matrix
 from nilext.poly import POLY_RING, MultiPoly
 from nilext.scalars import QQ, QZ12
@@ -26,19 +29,63 @@ def test_poly_constant_division():
     assert (x / 2) == half * x
 
 
+def _table_strings():
+    """Every coefficient string stored in nilext.tables."""
+    out = set()
+    for e in list(tables.BASES.values()) + list(tables.N4.values()):
+        out.update(src for _, _, src, _ in e["products"])
+        for avoided in e["excluded"].values():
+            out.update(avoided)
+        out.update(e.get("base_params", {}).values())
+        out.update(src for src, _ in e.get("cocycle", ()))
+    for setup in tables.SETUPS.values():
+        for spec in setup["forms"] + setup["b2"]:
+            out.update(src for src, _, _ in spec)
+        out.update(setup["transform"])
+        for row in setup["aut"]["rows"]:
+            out.update(row)
+    for _, images, _ in tables.RELATIONS:
+        out.update(images)
+    for cond in tables.ALIA_EXCLUDED.values():
+        if cond:
+            out.add(cond[1])
+    return sorted(out)
+
+
+def _has_variable_divisor(ast):
+    if ast[0] in ("num", "var"):
+        return False
+    if ast[0] == "div" and variables(ast[2]):
+        return True
+    return any(_has_variable_divisor(sub) for sub in ast[1:]
+               if isinstance(sub, tuple))
+
+
 def test_poly_evaluate_matches_expr_eval():
+    """poly_str agrees with eval_str on every catalog string, with z, i and
+    omega bound to their QZ12 values; a variable divisor is a ValueError."""
     rng = random.Random(5)
     srcs = [
         "alpha*(lambda-2)+1",
         "x^2*(x*a1+y*a6)",
         "-(2*lambda-1)",
         "(x^3/3)*(3*x*a1-y*(2*a5+a6)-3*z*a7)",
-    ]
+    ] + _table_strings()
+    rejected = 0
     for src in srcs:
+        ast = parse(src)
+        if _has_variable_divisor(ast):
+            with pytest.raises(ValueError):
+                poly_str(src)
+            rejected += 1
+            continue
         p = poly_str(src)
         for _ in range(25):
-            env = {v: QQ.random(rng) for v in variables(parse(src))}
-            assert p.evaluate(QQ, env) == eval_str(src, QQ, env)
+            env = field_env(QZ12)
+            env.update((v, QZ12.random(rng))
+                       for v in variables(ast) - set(env))
+            assert p.evaluate(QZ12, env) == eval_str(src, QZ12, env)
+    assert 0 < rejected < len(srcs)
 
 
 def test_eval_only_coefficient_with_variable_denominator():

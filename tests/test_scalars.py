@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilext.scalars import (FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField,
-                            roots_of_unity)
+from nilext.exprs import eval_str, field_env
+from nilext.scalars import FIELDS, QQ, QZ12, FpElt, PrimeField, roots_of_unity
 
 PRIMES = (2, 3, 5, 7)
 
@@ -36,10 +36,10 @@ def test_field_axioms_random():
 
 def test_parse_render_round_trip():
     rng = random.Random(12)
-    for name, f in sorted(FIELDS.items()):
+    for f in (QQ, QZ12):
         for _ in range(40):
             a = f.random(rng)
-            assert f.parse(f.render(a)) == a
+            assert eval_str(f.render(a), f, field_env(f)) == a
 
 
 def test_prime_field_basics():
@@ -125,7 +125,7 @@ from nilext.linalg import Matrix, Subspace, complement_reps
 from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
                            iso_search_fp, orbit_census_fp)
 from nilext.poly import MultiPoly
-from nilext.scalars import QQ, QZ12, FpElt, PrimeField, parse_cyc
+from nilext.scalars import QQ, QZ12, FpElt, PrimeField
 
 def raises(exc, fn, *args):
     try:
@@ -136,12 +136,8 @@ def raises(exc, fn, *args):
 
 assert not __debug__
 raises(ValueError, PrimeField(2).from_fraction, Fraction(1, 2))
-raises(ValueError, PrimeField(3).parse, "1 mod 5")
-raises(ValueError, PrimeField(5).parse, "x mod 5")
 raises(ValueError, PrimeField, 11)
 raises(ValueError, FpElt, 1, 4)
-raises(ValueError, parse_cyc, "")
-raises(ValueError, parse_cyc, "z^")
 raises(ZeroDivisionError, PrimeField(2).zero.inverse)
 raises(ZeroDivisionError, QZ12.zero.inverse)
 raises(ZeroDivisionError, lambda: QZ12.one / 0)
