@@ -4,6 +4,7 @@ invariants used to tell them apart."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import identities
 from .linalg import Matrix, Subspace, kernel_basis, is_zero_vec, zero_vec
@@ -262,53 +263,52 @@ def fingerprint(a: Algebra) -> Fingerprint:
 
 
 def generating_scheme(a: Algebra):
-    """Greedy generators and product trees whose values span the algebra.
+    """Greedy generators and products whose values span the algebra, as a
+    straight-line program: (num_gens, steps, values, inv, coords).
 
-    Returns (num_gens, basis_trees, basis_values) where each tree is either
-    ("gen", k) or ("mul", t1, t2) and the values form a basis. The result is
-    kept in a._cache, since a structure table is never mutated; callers must
-    not mutate it either.
+    Step k is ("gen", g) or ("mul", x, y) over earlier steps x and y, with
+    value values[k]; the values form a basis, inv inverts the matrix whose
+    columns they are, and coords[i][j] lists the nonzero (k, c) with
+    values[i] values[j] = sum of c values[k]. Kept in a._cache, since a
+    structure table is never mutated; callers must not mutate it either.
     """
     if "scheme" in a._cache:
         return a._cache["scheme"]
     span = a.subspace([])
-    trees = []
+    steps = []
     values = []
     num_gens = 0
     while span.dim < a.dim:
-        picked = None
-        for i in range(a.dim):
-            if not span.contains(a.basis_vector(i)):
-                picked = i
-                break
-        assert picked is not None
-        t = ("gen", num_gens)
+        picked = next(i for i in range(a.dim)
+                      if not span.contains(a.basis_vector(i)))
+        steps.append(("gen", num_gens))
         num_gens += 1
-        trees.append(t)
         values.append(a.basis_vector(picked))
-        span = span.add(a.subspace([values[-1]]))
+        span = a.subspace(values)
         grew = True
         while grew and span.dim < a.dim:
             grew = False
-            cur = len(trees)
-            for x in range(cur):
-                for y in range(cur):
-                    v = a.multiply(values[x], values[y])
-                    if not span.contains(v):
-                        trees.append(("mul", trees[x], trees[y]))
-                        values.append(v)
-                        span = span.add(a.subspace([v]))
-                        grew = True
-                        if span.dim == a.dim:
-                            break
-                if span.dim == a.dim:
-                    break
-    a._cache["scheme"] = num_gens, trees, values
+            for x, y in product(range(len(steps)), repeat=2):
+                v = a.multiply(values[x], values[y])
+                if not span.contains(v):
+                    steps.append(("mul", x, y))
+                    values.append(v)
+                    span = a.subspace(values)
+                    grew = True
+                    if span.dim == a.dim:
+                        break
+    inv = Matrix.from_cols(a.field, values).inverse()
+    coords = [[[(k, c) for k, c in enumerate(inv.apply(a.multiply(x, y))) if c]
+               for y in values] for x in values]
+    a._cache["scheme"] = num_gens, steps, values, inv, coords
     return a._cache["scheme"]
 
 
-def eval_tree(a: Algebra, tree, gen_images):
-    if tree[0] == "gen":
-        return gen_images[tree[1]]
-    return a.multiply(eval_tree(a, tree[1], gen_images),
-                      eval_tree(a, tree[2], gen_images))
+def eval_tree(a: Algebra, steps, gen_images):
+    """Values in a of every step of a generating scheme, generator g sent to
+    gen_images[g]; each product is formed once."""
+    vals = []
+    for s in steps:
+        vals.append(gen_images[s[1]] if s[0] == "gen"
+                    else a.multiply(vals[s[1]], vals[s[2]]))
+    return vals

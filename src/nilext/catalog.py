@@ -112,7 +112,8 @@ def cd_flags(base_id: str):
 def construction(entry_id: str, values=None, field=QQ):
     """Base algebra and combination form recorded for a constructed entry."""
     e = entry(entry_id)
-    assert "base" in e, "entry has no construction data"
+    if "base" not in e:
+        raise ValueError("%s has no construction data" % entry_id)
     conv, env = _converted(e, values, field)
     base_e = tables.BASES[e["base"]]
     base_vals = {}

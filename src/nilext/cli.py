@@ -33,7 +33,7 @@ def parse_params(text, field):
         name = GREEK.get(name, name)
         try:
             out[name] = eval_str(val.strip(), field, field_env(field))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, ZeroDivisionError) as exc:
             raise UsageError("bad parameter value %r: %s" % (chunk, exc))
     return out
 
@@ -183,7 +183,7 @@ def _parse_cocycle(args, a, named, vals, field):
     env = dict(vals)
     try:
         return parse_form(args.cocycle, a.dim, field, named=named, env=env)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise UsageError("bad cocycle literal: %s" % exc)
 
 

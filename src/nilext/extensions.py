@@ -25,7 +25,9 @@ class BilinearForm:
             gram = gram.rows
         self.field = field
         self.gram = Matrix(field, gram)
-        assert self.gram.nrows == self.gram.ncols
+        if self.gram.nrows != self.gram.ncols:
+            raise ValueError("Gram matrix is %d x %d, not square"
+                             % (self.gram.nrows, self.gram.ncols))
         self.dim = self.gram.nrows
 
     @classmethod
@@ -264,9 +266,8 @@ def cohomology(a: Algebra, named_reps=None, named_cd_flags=None) -> CohomologyBa
             "coboundaries must satisfy the induced identity constraints"
     notes = []
     if named_reps is not None:
-        span = b2
-        for r in named_reps:
-            span = span.add(Subspace(f, n * n, [r.flatten()]))
+        span = Subspace(f, n * n, list(b2.basis)
+                        + [r.flatten() for r in named_reps])
         if span == full and b2.dim + len(named_reps) == n * n:
             if named_cd_flags is None:
                 named_cd_flags = [False] * len(named_reps)
@@ -280,11 +281,8 @@ def cohomology(a: Algebra, named_reps=None, named_cd_flags=None) -> CohomologyBa
                 flags = [z2cd.contains(r.flatten()) for r in named_reps]
                 canonical = flags == list(named_cd_flags)
                 if canonical:
-                    stored_span = b2
-                    for r, fl in zip(named_reps, flags):
-                        if fl:
-                            stored_span = stored_span.add(
-                                Subspace(f, n * n, [r.flatten()]))
+                    stored_span = Subspace(f, n * n, list(b2.basis) + [
+                        r.flatten() for r, fl in zip(named_reps, flags) if fl])
                     if stored_span != z2cd:
                         canonical = False
                         notes.append("flagged forms span less than the computed "
@@ -366,9 +364,10 @@ def central_extension(a: Algebra, thetas, label=None) -> Algebra:
     f = a.field
     n = a.dim
     s = len(thetas)
-    assert s >= 1
-    for th in thetas:
-        assert th.dim == n
+    if s < 1:
+        raise ValueError("a central extension needs at least one form")
+    if any(th.dim != n for th in thetas):
+        raise ValueError("forms must have dimension %d" % n)
     m = n + s
     table = [[zero_vec(f, m) for _ in range(m)] for _ in range(m)]
     for i in range(n):
@@ -386,7 +385,6 @@ def is_split(a: Algebra, thetas) -> bool:
         raise ValueError("splitness test needs trivial shared radical in the "
                          "annihilator")
     b2 = b2_space(a)
-    span = b2
-    for th in thetas:
-        span = span.add(Subspace(a.field, a.dim * a.dim, [th.flatten()]))
+    span = Subspace(a.field, a.dim * a.dim,
+                    list(b2.basis) + [th.flatten() for th in thetas])
     return span.dim - b2.dim < len(thetas)

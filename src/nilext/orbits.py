@@ -78,7 +78,9 @@ def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
     coefficient is a nonzero constant and every other generator vanishes.
     Returns (ok, detail).
     """
-    assert len(formulas) == len(nabla_grids)
+    if len(formulas) != len(nabla_grids):
+        raise ValueError("%d formulas for %d named forms"
+                         % (len(formulas), len(nabla_grids)))
     n = family.dim
     coeff_vars = [MultiPoly.var("a%d" % (k + 1)) for k in range(len(nabla_grids))]
     generic = _poly_grid_combo(coeff_vars, nabla_grids)
@@ -108,18 +110,17 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     """Invertible homomorphisms a -> b with generator images in domain^dim,
     in the order product(domain, ...) lists them. Image coordinates are bound
     one at a time; each condition phi(v_i)phi(v_j) = phi(v_i v_j) on the
-    scheme's values v, unless v_i v_j is itself a tree, is tested once the
+    scheme's values v, unless v_i v_j is itself a step, is tested once the
     last coordinate it can involve, over-approximated from b's nonzero
     structure constants, is bound. max_search bounds the candidates."""
     n = a.dim
-    num_gens, trees, values = generating_scheme(a)
+    num_gens, steps, _, inv, coords = generating_scheme(a)
     width = n * num_gens
     total = len(domain) ** width
     if total > max_search:
         raise ResourceBound("%s search needs %d candidates, bound is %d" % (
             "automorphism" if a is b else "isomorphism", total, max_search))
     f = a.field
-    vmat_inv = Matrix.from_cols(f, values).inverse()
 
     def reach(x, y):  # last coordinate each entry of x*y can involve, or -1
         out = [-1] * n
@@ -129,22 +130,20 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
                     out[k] = max(out[k], x[p], y[q])
         return out
 
-    last = {}
-    for t in trees:
-        last[t] = ([t[1] * n + m for m in range(n)] if t[0] == "gen"
-                   else reach(last[t[1]], last[t[2]]))
+    last = []  # step -> last coordinate each entry of its image can involve
+    for s in steps:
+        last.append([s[1] * n + m for m in range(n)] if s[0] == "gen"
+                    else reach(last[s[1]], last[s[2]]))
     checks = [[] for _ in range(width)]  # depth -> conditions tested there
-    for (i, ti), (j, tj) in product(enumerate(trees), repeat=2):
-        terms = [(k, c) for k, c in enumerate(
-            vmat_inv.apply(a.multiply(values[i], values[j]))) if c]
-        d = max(reach(last[ti], last[tj])
-                + [max(last[trees[k]]) for k, _ in terms])
-        if 0 <= d < width - 1 and ("mul", ti, tj) not in last:
+    for i, j in product(range(len(steps)), repeat=2):
+        terms = coords[i][j]
+        d = max(reach(last[i], last[j]) + [max(last[k]) for k, _ in terms])
+        if 0 <= d < width - 1 and ("mul", i, j) not in steps:
             checks[d].append((i, j, terms))
     gens = [[f.zero] * n for _ in range(num_gens)]
 
     def consistent(conditions):
-        imgs = [eval_tree(b, t, gens) for t in trees]
+        imgs = eval_tree(b, steps, gens)
         return all(b.multiply(imgs[i], imgs[j]) == [
             sum((c * imgs[k][m] for k, c in terms), f.zero) for m in range(n)]
             for i, j, terms in conditions)
@@ -153,10 +152,9 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
         for x in domain:
             gens[d // n][d % n] = x
             if d == width - 1:
-                img_mat = Matrix.from_cols(
-                    f, [eval_tree(b, t, gens) for t in trees])
+                img_mat = Matrix.from_cols(f, eval_tree(b, steps, gens))
                 if img_mat.is_invertible():
-                    phi = img_mat * vmat_inv
+                    phi = img_mat * inv
                     if is_homomorphism(a, b, phi):
                         yield phi
             elif not checks[d] or consistent(checks[d]):

@@ -15,12 +15,15 @@ class MultiPoly:
 
     def __init__(self, vars=(), terms=None):
         vs = tuple(vars)
-        assert vs == tuple(sorted(vs)), "variables must be sorted"
+        if vs != tuple(sorted(vs)):
+            raise ValueError("variables must be sorted")
         ts = {}
         for exp, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                assert len(exp) == len(vs)
+                if len(exp) != len(vs):
+                    raise ValueError("exponent %r does not match variables %r"
+                                     % (exp, vs))
                 ts[tuple(int(e) for e in exp)] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", ts)

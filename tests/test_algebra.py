@@ -96,17 +96,58 @@ def test_derivation_property_random():
             assert lhs == rhs
 
 
+def _scheme_samples():
+    """Catalog samples, and seeded strictly triangular tables of dims 2-4
+    over F2 and F3."""
+    out = [catalog.instantiate(eid, catalog.sample_parameters(eid, 1)[0])
+           for eid in catalog.all_ids()]
+    rng = random.Random(37)
+    for name in ("F2", "F3"):
+        f = FIELDS[name]
+        for _ in range(30):
+            n = rng.randrange(2, 5)
+            out.append(Algebra(f, [[[f.random(rng) if k > max(i, j)
+                                     and rng.random() < 0.6 else f.zero
+                                     for k in range(n)] for j in range(n)]
+                                   for i in range(n)]))
+    return out
+
+
 def test_generating_scheme_spans():
-    for eid in ("CD3_01", "N4_17", "N4_42"):
-        vals = catalog.sample_parameters(eid, 1)[0]
-        a = catalog.instantiate(eid, vals)
-        num_gens, trees, values = generating_scheme(a)
+    shapes = set()
+    for a in _scheme_samples():
+        f = a.field
+        num_gens, steps, values, inv, coords = generating_scheme(a)
         assert generating_scheme(a) is generating_scheme(a)
-        assert Subspace(a.field, a.dim, values).dim == a.dim
-        gens = [values[k] for k, t in enumerate(trees) if t[0] == "gen"]
-        assert len(gens) == num_gens
-        for t, v in zip(trees, values):
-            assert eval_tree(a, t, gens) == v
+        assert Subspace(f, a.dim, values).dim == a.dim
+        assert inv * Matrix.from_cols(f, values) == Matrix.identity(f, a.dim)
+        assert [s[1] for s in steps if s[0] == "gen"] == list(range(num_gens))
+        assert all(s[0] == "gen" or max(s[1:]) < k
+                   for k, s in enumerate(steps))
+        for i, x in enumerate(values):
+            for j, y in enumerate(values):
+                assert all(c for _, c in coords[i][j])
+                assert a.multiply(x, y) == [
+                    sum((c * values[k][m] for k, c in coords[i][j]), f.zero)
+                    for m in range(a.dim)]
+        gens = [values[k] for k, s in enumerate(steps) if s[0] == "gen"]
+        assert eval_tree(a, steps, gens) == values
+        shapes.add((f.name, num_gens, len(steps) - num_gens))
+    assert len(shapes) >= 8
+
+
+def test_eval_tree_forms_each_product_once():
+    rng = random.Random(38)
+    for a in _scheme_samples():
+        num_gens, steps = generating_scheme(a)[:2]
+        gens = [[a.field.random(rng) for _ in range(a.dim)]
+                for _ in range(num_gens)]
+        expected = eval_tree(a, steps, gens)
+        calls = []
+        plain = a.multiply
+        a.multiply = lambda x, y: calls.append((x, y)) or plain(x, y)
+        assert eval_tree(a, steps, gens) == expected
+        assert len(calls) == sum(s[0] == "mul" for s in steps)
 
 
 def test_identity_is_automorphism():

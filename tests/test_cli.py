@@ -75,6 +75,10 @@ def test_bad_params_exit_2(capsys):
                          "lambda=1,alpha=1")
     assert code == 2
     assert "constraint violation" in err
+    code, out, err = run(capsys, "info", "N4_05", "--params",
+                         "alpha=1/0,beta=1")
+    assert code == 2
+    assert err.startswith("error: bad parameter value 'alpha=1/0'")
 
 
 def test_extend_matches_catalog_entry(capsys):
@@ -108,6 +112,10 @@ def test_extend_bad_literal(capsys):
     code, out, err = run(capsys, "extend", "CD3_01", "--cocycle", "Q(1)")
     assert code == 2
     assert "bad cocycle literal" in err
+    code, out, err = run(capsys, "extend", "CD3_01", "--cocycle",
+                         "(1/0)*N(1)")
+    assert code == 2
+    assert err.startswith("error: bad cocycle literal: division by zero")
 
 
 def test_classify_line_cases(capsys):

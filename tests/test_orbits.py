@@ -1,4 +1,7 @@
 import copy
+import hashlib
+import json
+import os
 import random
 from itertools import product
 
@@ -179,12 +182,11 @@ def test_orbit_witnesses_reach_members():
 def _reference_homomorphisms(a, b, domain):
     """Every candidate of the generator-image product, in product order: the
     exhaustive loop the pruned search replaced, kept as its oracle."""
-    num_gens, trees, values = generating_scheme(a)
+    num_gens, steps, values = generating_scheme(a)[:3]
     vmat_inv = Matrix.from_cols(a.field, values).inverse()
     for flat in product(domain, repeat=a.dim * num_gens):
         gens = [list(flat[k * a.dim:(k + 1) * a.dim]) for k in range(num_gens)]
-        img_mat = Matrix.from_cols(a.field,
-                                   [eval_tree(b, t, gens) for t in trees])
+        img_mat = Matrix.from_cols(a.field, eval_tree(b, steps, gens))
         if img_mat.is_invertible():
             phi = img_mat * vmat_inv
             if is_homomorphism(a, b, phi):
@@ -253,6 +255,39 @@ def test_pruned_search_matches_product_loop_on_catalog_pairs():
         v = iso_search(a, b, grid=grid, primes=())
         assert v.kind == ("undecided" if ref is None else "witness"), a.label
         assert v.witness == ref, a.label
+
+
+def _render(m):
+    return [" ".join(m.field.render(c) for c in row) for row in m.rows]
+
+
+def test_search_results_match_stored_snapshot():
+    """tests/data/search_snapshot.json holds the rendered iso_search witness
+    of each stored relation at its first two samples, and a sha256 of the
+    rendered aut_group_fp list of each F2 setup of AC7, as computed before
+    the generating scheme became a straight-line program."""
+    witnesses = {}
+    for rid, exprs, fname in tables.RELATIONS:
+        f = FIELDS[fname]
+        params = catalog.entry(rid)["params"]
+        witnesses[rid] = []
+        for vals in catalog.sample_parameters(rid, 2, 0):
+            b = catalog.instantiate(rid, catalog._relation_images(
+                params, exprs, f, vals), f)
+            v = iso_search(catalog.instantiate(rid, vals, f), b)
+            witnesses[rid].append(_render(v.witness))
+    auts = {}
+    for bid, vals in (("CD3_01", {}), ("CD3_02", {}), ("CD3_03", {}),
+                      ("CD3_04", {"lambda": 0}), ("CD3_04", {"lambda": 1})):
+        a = catalog.instantiate(bid, vals, FIELDS["F2"])
+        rendered = json.dumps([_render(phi) for phi in aut_group_fp(a)])
+        auts[a.label] = hashlib.sha256(rendered.encode()).hexdigest()
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "search_snapshot.json")
+    with open(path) as fh:
+        stored = json.load(fh)
+    assert witnesses == stored["witnesses"]
+    assert auts == stored["aut_sha256"]
 
 
 def test_search_bound_counts_candidates():

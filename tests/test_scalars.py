@@ -119,11 +119,13 @@ from fractions import Fraction
 from nilext import catalog, cli, tables
 from nilext.algebra import Algebra, is_homomorphism
 from nilext.exprs import poly_str
-from nilext.extensions import is_split, parse_form
+from nilext.extensions import (BilinearForm, central_extension, is_split,
+                               parse_form)
 from nilext.identities import Identity
 from nilext.linalg import Matrix, Subspace, complement_reps
 from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
-                           iso_search_fp, orbit_census_fp)
+                           iso_search_fp, orbit_census_fp,
+                           verify_transform_table)
 from nilext.poly import MultiPoly
 from nilext.scalars import QQ, QZ12, FpElt, PrimeField
 
@@ -168,6 +170,10 @@ raises(ValueError, poly_str, "x/y")
 raises(ValueError, poly_str, "(x+y)/(2*z)")
 raises(ZeroDivisionError, poly_str, "x/(y-y)")
 raises(ValueError, MultiPoly.var("x").constant_value)
+raises(ValueError, MultiPoly, ("b", "a"), {})
+raises(ValueError, MultiPoly, ("a",), {(1, 2): 1})
+raises(ValueError, catalog.construction, "CD3_01")
+raises(ValueError, verify_transform_table, fam, [poly_str("a1")], [], [])
 raises(ValueError, pow, MultiPoly.var("x"), -1)
 raises(ValueError, pow, MultiPoly.var("x"), 2.0)
 raises(ValueError, catalog.sample_parameters, "N4_42", 0)
@@ -191,6 +197,9 @@ raises(ValueError, complement_reps, s2, s3)
 raises(ValueError, complement_reps, Subspace(QQ, 2, m22.rows[:1]), s2)
 cd = catalog.instantiate("CD3_01")
 raises(ValueError, is_homomorphism, cd, cd, m22)
+raises(ValueError, BilinearForm, QQ, m23)
+raises(ValueError, central_extension, cd, [])
+raises(ValueError, central_extension, cd, [BilinearForm(QQ, m22)])
 for n in ("0", "-1"):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
