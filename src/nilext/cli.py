@@ -10,7 +10,7 @@ from .exprs import GREEK, eval_str, field_env
 from .extensions import (cohomology, is_split, parse_form, render_form,
                          central_extension, classify_line)
 from .orbits import ResourceBound, iso_search, orbit_census_fp
-from .scalars import FIELDS, PrimeField
+from .scalars import FIELDS
 
 
 class UsageError(Exception):
@@ -36,14 +36,6 @@ def parse_params(text, field):
         except (ValueError, KeyError, ZeroDivisionError) as exc:
             raise UsageError("bad parameter value %r: %s" % (chunk, exc))
     return out
-
-
-def _check_id(entry_id):
-    if entry_id in tables.STUB_IDS:
-        return "stub"
-    if entry_id in tables.N4 or entry_id in tables.BASES:
-        return "entry"
-    raise UsageError("unknown catalog id: %s" % entry_id)
 
 
 def render_table(a):
@@ -83,14 +75,14 @@ def _instance_facts(a):
         "power_chain": list(fp.chain),
         "annihilator_dim": fp.ann_dim,
         "derivation_dim": fp.der_dim,
-        "cd": all(a.satisfies(nm) for nm in ("cd1", "cd2", "cd3")),
+        "cd": a.is_cd_by_identities(),
         "identities": {nm: ok for nm, ok in fp.ids},
     }
 
 
 def cmd_info(args):
     field = FIELDS[args.field]
-    if _check_id(args.id) == "stub":
+    if catalog.is_stub(args.id):
         if args.format == "structured":
             _json_out({"id": args.id, "stub": True,
                        "detail": "external classification entry; "
@@ -154,7 +146,6 @@ def _base_setup(entry_id, vals, field):
 
 def cmd_cohomology(args):
     field = FIELDS[args.field]
-    _check_id(args.id)
     vals = parse_params(args.params, field)
     a, named, flags = _base_setup(args.id, vals, field)
     coh = cohomology(a, named, flags)
@@ -189,7 +180,6 @@ def _parse_cocycle(args, a, named, vals, field):
 
 def cmd_extend(args):
     field = FIELDS[args.field]
-    _check_id(args.id)
     vals = parse_params(args.params, field)
     a, named, flags = _base_setup(args.id, vals, field)
     theta = _parse_cocycle(args, a, named, vals, field)
@@ -221,7 +211,6 @@ def cmd_extend(args):
 
 def cmd_classify_line(args):
     field = FIELDS[args.field]
-    _check_id(args.id)
     vals = parse_params(args.params, field)
     a, named, flags = _base_setup(args.id, vals, field)
     theta = _parse_cocycle(args, a, named, vals, field)
@@ -244,9 +233,6 @@ def cmd_classify_line(args):
 
 def cmd_iso(args):
     field = FIELDS[args.field]
-    for eid in (args.id1, args.id2):
-        if _check_id(eid) == "stub":
-            raise UsageError("stub entry has no table: " + eid)
     a = catalog.instantiate(args.id1, parse_params(args.params, field), field)
     b = catalog.instantiate(args.id2, parse_params(args.params2, field), field)
     verdict = iso_search(a, b, max_search=args.max_search)
@@ -276,9 +262,6 @@ def cmd_iso(args):
 
 def cmd_orbits(args):
     field = FIELDS[args.field]
-    if not isinstance(field, PrimeField) or field.p not in (2, 3):
-        raise UsageError("orbit census runs over F2 or F3")
-    _check_id(args.id)
     vals = parse_params(args.params, field)
     a, named, flags = _base_setup(args.id, vals, field)
     coh = cohomology(a, named, flags)

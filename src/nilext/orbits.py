@@ -9,9 +9,9 @@ from itertools import product
 
 from .algebra import (Algebra, eval_tree, fingerprint, generating_scheme,
                       is_homomorphism)
-from .extensions import (BilinearForm, CohomologyBasis, LineClass, b2_space,
+from .extensions import (BilinearForm, CohomologyBasis, LineClass,
                          central_extension, classify_line, cohomology)
-from .linalg import Matrix, solve_linear
+from .linalg import Matrix, Subspace, solve_linear, vec_scale, vec_sub
 from .poly import POLY_RING, MultiPoly
 from .scalars import PrimeField
 
@@ -58,47 +58,33 @@ class AutFamily:
         return Matrix(POLY_RING, [list(r) for r in self.entries])
 
 
-def _poly_grid_combo(coeffs, grids):
-    n = len(grids[0])
-    out = [[MultiPoly.const(0) for _ in range(n)] for _ in range(n)]
-    for c, g in zip(coeffs, grids):
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = out[i][j] + c * g[i][j]
-    return out
-
-
 def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
     """Check symbolically that pulling back a generic combination of the
     named forms along the family lands on the combination given by the
     formulas, up to coboundaries.
 
     nabla_grids are the named forms as square grids of polynomials; b2_rows
-    are flattened coboundary generators, each owning a position where its
-    coefficient is a nonzero constant and every other generator vanishes.
-    Returns (ok, detail).
+    are flattened coboundary generators. Their echelon reduction must meet a
+    nonzero constant as each row's leading entry; MultiPoly raises
+    ValueError otherwise. Returns (ok, detail).
     """
     if len(formulas) != len(nabla_grids):
         raise ValueError("%d formulas for %d named forms"
                          % (len(formulas), len(nabla_grids)))
     n = family.dim
-    coeff_vars = [MultiPoly.var("a%d" % (k + 1)) for k in range(len(nabla_grids))]
-    generic = _poly_grid_combo(coeff_vars, nabla_grids)
+    grids = [Matrix(POLY_RING, g) for g in nabla_grids]
+
+    def combo(coeffs):
+        return sum((g.scale(c) for c, g in zip(coeffs, grids)),
+                   Matrix.zero(POLY_RING, n, n))
+
+    coeff_vars = [MultiPoly.var("a%d" % (k + 1)) for k in range(len(grids))]
     phi = family.poly_matrix()
-    pulled = phi.transpose() * Matrix(POLY_RING, generic) * phi
-    target = _poly_grid_combo(formulas, nabla_grids)
-    residual = [pulled.rows[i][j] - target[i][j]
-                for i in range(n) for j in range(n)]
-    for r, row in enumerate(b2_rows):
-        pivot = None
-        for k, e in enumerate(row):
-            if e.is_constant() and e.constant_value() != 0:
-                if all(not other[k] for o, other in enumerate(b2_rows) if o != r):
-                    pivot = k
-                    break
-        assert pivot is not None, "coboundary row %d has no clean pivot" % r
-        c = residual[pivot] / row[pivot].constant_value()
-        residual = [x - c * e for x, e in zip(residual, row)]
+    residual = (phi.transpose() * combo(coeff_vars) * phi
+                - combo(formulas)).flatten()
+    b2 = Subspace(POLY_RING, n * n, b2_rows)
+    for row, lead in zip(b2.basis, b2.pivots):
+        residual = vec_sub(residual, vec_scale(residual[lead], row))
     for k, x in enumerate(residual):
         if x:
             return False, "residual at position (%d,%d): %r" % (
@@ -227,7 +213,12 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     the least member of its orbit, its rep. The automorphisms form a group,
     so one sweep over them from the rep reaches the whole orbit; a member's
     witness is the first automorphism, in aut_group_fp order, that carries
-    the rep's line to the member's."""
+    the rep's line to the member's.
+
+    Only the rep is classified. Aut(A) preserves Ann(A), the coboundaries
+    and the derivation-type cocycles, so the class of a line is a property
+    of its orbit; class_counts adds each orbit's size under its rep's
+    class."""
     if not (isinstance(a.field, PrimeField) and a.field.p in (2, 3)):
         raise ValueError("census runs over F2 or F3, not %s" % a.field.name)
     f = a.field
@@ -237,13 +228,13 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     lines = [t for t in product(f.elements(), repeat=r)
              if any(t) and _normalize_line(f, t) == t]
     index = {t: k for k, t in enumerate(lines)}
-    classes = [classify_line(a, coh.form_from_coords(list(t))) for t in lines]
     auts = aut_group_fp(a, max_search=max_search)
     maps = [Matrix.from_cols(f, [coh.coords_mod_b2(act(phi, rep))
                                  for rep in coh.reps]) for phi in auts]
     seen = set()
     orbits = []
-    for k, t in enumerate(lines):
+    counts = {}
+    for t in lines:
         if t in seen:
             continue
         witnesses = {t: Matrix.identity(f, a.dim)}
@@ -253,15 +244,12 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
         members = sorted(witnesses, key=index.__getitem__)
         for m in members:
             assert m not in seen, "a line is reached from two representatives"
-            assert classes[index[m]] is classes[k], \
-                "automorphism action must preserve the line class"
         seen.update(members)
-        orbits.append(LineOrbit(classes[k], t, members, witnesses))
+        cls = classify_line(a, coh.form_from_coords(list(t)))
+        counts[cls.value] = counts.get(cls.value, 0) + len(members)
+        orbits.append(LineOrbit(cls, t, members, witnesses))
     orbits.sort(key=lambda o: (o.line_class.value,
                                tuple(c.v for c in o.rep)))
-    counts = {}
-    for c in classes:
-        counts[c.value] = counts.get(c.value, 0) + 1
     return Census(a.label, f.name, r, len(auts), len(lines), counts, orbits)
 
 

@@ -392,6 +392,24 @@ def _census_setups():
     return setups
 
 
+def test_census_classifies_each_orbit_once(monkeypatch):
+    import nilext.orbits
+    calls = []
+
+    def counted(a, theta):
+        calls.append(theta)
+        return classify_line(a, theta)
+
+    monkeypatch.setattr(nilext.orbits, "classify_line", counted)
+    setups = _census_setups()
+    for bid, a, forms in (setups[0],
+                          next(s for s in setups if s[1].field.p == 3)):
+        calls.clear()
+        coh = cohomology(a, forms, catalog.cd_flags(bid))
+        census = orbit_census_fp(a, coh)
+        assert len(calls) == len(census.orbits), bid
+
+
 def test_census_sweep_matches_union_find_reference():
     for bid, a, forms in _census_setups():
         flags = [k + 1 in tables.SETUPS[bid]["cd"] for k in range(7)]

@@ -174,6 +174,10 @@ raises(ValueError, MultiPoly, ("b", "a"), {})
 raises(ValueError, MultiPoly, ("a",), {(1, 2): 1})
 raises(ValueError, catalog.construction, "CD3_01")
 raises(ValueError, verify_transform_table, fam, [poly_str("a1")], [], [])
+zero_grid = [[MultiPoly.const(0)] * 3 for _ in range(3)]
+raises(ValueError, verify_transform_table, fam,
+       [poly_str(s) for s in tables.SETUPS["CD3_01"]["transform"]],
+       [zero_grid] * 7, [[MultiPoly.var("x")] + [MultiPoly.const(0)] * 8])
 raises(ValueError, pow, MultiPoly.var("x"), -1)
 raises(ValueError, pow, MultiPoly.var("x"), 2.0)
 raises(ValueError, catalog.sample_parameters, "N4_42", 0)
