@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog, tables
@@ -377,7 +378,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: drop what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import mul
 
 from .algebra import (Algebra, eval_tree, fingerprint, generating_scheme,
                       is_homomorphism)
@@ -98,7 +99,9 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     one at a time; each condition phi(v_i)phi(v_j) = phi(v_i v_j) on the
     scheme's values v, unless v_i v_j is itself a step, is tested once the
     last coordinate it can involve, over-approximated from b's nonzero
-    structure constants, is bound. max_search bounds the candidates."""
+    structure constants, is bound. A leaf tests its conditions before the
+    rank test, so is_homomorphism only rechecks the maps found. max_search
+    bounds the candidates."""
     n = a.dim
     num_gens, steps, _, inv, coords = generating_scheme(a)
     width = n * num_gens
@@ -124,27 +127,29 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     for i, j in product(range(len(steps)), repeat=2):
         terms = coords[i][j]
         d = max(reach(last[i], last[j]) + [max(last[k]) for k, _ in terms])
-        if 0 <= d < width - 1 and ("mul", i, j) not in steps:
+        if d >= 0 and ("mul", i, j) not in steps:
             checks[d].append((i, j, terms))
     gens = [[f.zero] * n for _ in range(num_gens)]
 
-    def consistent(conditions):
-        imgs = eval_tree(b, steps, gens)
+    def consistent(imgs, conditions):
         return all(b.multiply(imgs[i], imgs[j]) == [
             sum((c * imgs[k][m] for k, c in terms), f.zero) for m in range(n)]
             for i, j, terms in conditions)
 
     def walk(d):
+        leaf = d == width - 1
         for x in domain:
             gens[d // n][d % n] = x
-            if d == width - 1:
-                img_mat = Matrix.from_cols(f, eval_tree(b, steps, gens))
-                if img_mat.is_invertible():
-                    phi = img_mat * inv
-                    if is_homomorphism(a, b, phi):
-                        yield phi
-            elif not checks[d] or consistent(checks[d]):
+            if checks[d] or leaf:
+                imgs = eval_tree(b, steps, gens)
+                if not consistent(imgs, checks[d]):
+                    continue
+            if not leaf:
                 yield from walk(d + 1)
+            elif (img_mat := Matrix.from_cols(f, imgs)).is_invertible():
+                phi = img_mat * inv
+                if is_homomorphism(a, b, phi):
+                    yield phi
         gens[d // n][d % n] = f.zero
 
     return walk(0)
@@ -169,13 +174,6 @@ def iso_search_fp(a: Algebra, b: Algebra, max_search=300000):
 def verify_isomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
     return (a.dim == b.dim and phi.is_invertible()
             and is_homomorphism(a, b, phi))
-
-
-def _normalize_line(f, coords):
-    lead = next((c for c in coords if c), None)
-    assert lead is not None
-    inv = f.one / lead
-    return tuple(inv * c for c in coords)
 
 
 @dataclass
@@ -209,11 +207,13 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     """Partition the projective lines of the form-class space into orbits of
     the automorphism group, over a prime field.
 
-    Lines run in increasing residue order, so the first line not yet seen is
-    the least member of its orbit, its rep. The automorphisms form a group,
-    so one sweep over them from the rep reaches the whole orbit; a member's
-    witness is the first automorphism, in aut_group_fp order, that carries
-    the rep's line to the member's.
+    The sweep runs on residues mod p: a line is the int tuple whose first
+    nonzero entry is 1, and each automorphism acts by int rows. Lines run in
+    increasing order, so the first line not yet seen is the least member of
+    its orbit, its rep. The automorphisms form a group, so one sweep over
+    them from the rep reaches the whole orbit; a member's witness is the
+    first automorphism, in aut_group_fp order, that carries the rep's line
+    to the member's. Lines become field elements only in the output.
 
     Only the rep is classified. Aut(A) preserves Ann(A), the coboundaries
     and the derivation-type cocycles, so the class of a line is a property
@@ -222,34 +222,38 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     if not (isinstance(a.field, PrimeField) and a.field.p in (2, 3)):
         raise ValueError("census runs over F2 or F3, not %s" % a.field.name)
     f = a.field
+    p = f.p
     if coh is None:
         coh = cohomology(a)
     r = coh.h2_dim
-    lines = [t for t in product(f.elements(), repeat=r)
-             if any(t) and _normalize_line(f, t) == t]
-    index = {t: k for k, t in enumerate(lines)}
+    lines = [t for t in product(range(p), repeat=r)
+             if next(filter(None, t), 0) == 1]
+    inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
     auts = aut_group_fp(a, max_search=max_search)
-    maps = [Matrix.from_cols(f, [coh.coords_mod_b2(act(phi, rep))
-                                 for rep in coh.reps]) for phi in auts]
+    maps = [list(zip(*[[c.v for c in coh.coords_mod_b2(act(phi, rep))]
+                       for rep in coh.reps])) for phi in auts]
+    elts = f.elements()
     seen = set()
     orbits = []
     counts = {}
     for t in lines:
         if t in seen:
             continue
-        witnesses = {t: Matrix.identity(f, a.dim)}
-        for phi, tmap in zip(auts, maps):
-            img = _normalize_line(f, tuple(tmap.apply(list(t))))
-            witnesses.setdefault(img, phi)
-        members = sorted(witnesses, key=index.__getitem__)
-        for m in members:
-            assert m not in seen, "a line is reached from two representatives"
-        seen.update(members)
-        cls = classify_line(a, coh.form_from_coords(list(t)))
-        counts[cls.value] = counts.get(cls.value, 0) + len(members)
-        orbits.append(LineOrbit(cls, t, members, witnesses))
-    orbits.sort(key=lambda o: (o.line_class.value,
-                               tuple(c.v for c in o.rep)))
+        reached = {t: Matrix.identity(f, a.dim)}
+        for phi, rows in zip(auts, maps):
+            img = [sum(map(mul, row, t)) % p for row in rows]
+            lead = inverse[next(filter(None, img))]
+            reached.setdefault(tuple(lead * c % p for c in img), phi)
+        assert seen.isdisjoint(reached), \
+            "a line is reached from two representatives"
+        seen.update(reached)
+        as_elts = {m: tuple(elts[c] for c in m) for m in sorted(reached)}
+        witnesses = {as_elts[m]: phi for m, phi in reached.items()}
+        cls = classify_line(a, coh.form_from_coords(list(as_elts[t])))
+        counts[cls.value] = counts.get(cls.value, 0) + len(reached)
+        orbits.append(LineOrbit(cls, as_elts[t], list(as_elts.values()),
+                                witnesses))
+    orbits.sort(key=lambda o: o.line_class.value)  # stable: reps stay in order
     return Census(a.label, f.name, r, len(auts), len(lines), counts, orbits)
 
 

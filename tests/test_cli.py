@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from nilext import catalog, cli, tables
 
@@ -230,3 +232,20 @@ def test_usage_error_from_argparse():
         assert False
     except SystemExit as exc:
         assert exc.code == 2
+
+
+def test_closed_pipe_exits_without_traceback():
+    """The reader closes the pipe before any output is written, as
+    `nilext orbits CD3_01 --field F2 | head -2` can: the command fails
+    with exit code 1 and prints no traceback."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilext.cli", "orbits", "CD3_01", "--field",
+         "F2"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -12,10 +12,9 @@ from nilext.extensions import (BilinearForm, LineClass, b2_space,
                                radical_meets_annihilator, render_form,
                                theta_perp)
 from nilext.linalg import Subspace
-from nilext.orbits import _normalize_line
 from nilext.scalars import FIELDS, QQ
-from test_orbits import (_census_setups, _random_invertible,
-                         _random_nilpotent, _transported)
+from test_orbits import (_census_setups, _normalize_line,
+                         _random_invertible, _random_nilpotent, _transported)
 
 
 def _named(bid, vals=None):

@@ -14,7 +14,7 @@ from nilext.extensions import (BilinearForm, LineClass, classify_line,
                                cohomology, central_extension)
 from nilext.linalg import Matrix
 from nilext.orbits import (AutFamily, Census, LineOrbit, ResourceBound,
-                           Verdict, _normalize_line, act, aut_group_fp,
+                           Verdict, act, aut_group_fp,
                            extension_of_line, iso_search, iso_search_fp,
                            orbit_census_fp, verify_isomorphism,
                            verify_transform_table, witness_extension_iso)
@@ -303,6 +303,14 @@ def test_search_bound_counts_candidates():
     assert len(aut_group_fp(a, max_search=total)) > 0
 
 
+def _normalize_line(f, coords):
+    """The line through coords as the multiple whose first nonzero entry is
+    one, computed over the field elements."""
+    lead = next(c for c in coords if c)
+    inv = f.one / lead
+    return tuple(inv * c for c in coords)
+
+
 def _reference_census(a, coh):
     """Every automorphism applied to every line, the edges merged by a
     union-find and the witnesses found by a BFS over the stored edges: the
@@ -408,6 +416,21 @@ def test_census_classifies_each_orbit_once(monkeypatch):
         coh = cohomology(a, forms, catalog.cd_flags(bid))
         census = orbit_census_fp(a, coh)
         assert len(calls) == len(census.orbits), bid
+
+
+def test_aut_group_checks_each_found_map_once(monkeypatch):
+    import nilext.orbits
+    calls = []
+
+    def counted(a, b, phi):
+        calls.append(phi)
+        return is_homomorphism(a, b, phi)
+
+    monkeypatch.setattr(nilext.orbits, "is_homomorphism", counted)
+    for bid, a, forms in _census_setups():
+        calls.clear()
+        auts = aut_group_fp(a)
+        assert calls == auts, (bid, len(calls), len(auts))
 
 
 def test_census_sweep_matches_union_find_reference():

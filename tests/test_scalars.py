@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from nilext import catalog
 from nilext.exprs import eval_str, field_env
+from nilext.extensions import LineClass, cohomology
+from nilext.orbits import orbit_census_fp
 from nilext.scalars import FIELDS, QQ, QZ12, FpElt, PrimeField, roots_of_unity
 
 PRIMES = (2, 3, 5, 7)
@@ -119,8 +122,8 @@ from fractions import Fraction
 from nilext import catalog, cli, tables
 from nilext.algebra import Algebra, is_homomorphism
 from nilext.exprs import poly_str
-from nilext.extensions import (BilinearForm, central_extension, is_split,
-                               parse_form)
+from nilext.extensions import (BilinearForm, LineClass, central_extension,
+                               cohomology, is_split, parse_form)
 from nilext.identities import Identity
 from nilext.linalg import Matrix, Subspace, complement_reps
 from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
@@ -210,6 +213,12 @@ for n in ("0", "-1"):
         code = cli.main(["verify-catalog", "--samples", n])
     if code != 2 or not err.getvalue().startswith("error: "):
         raise SystemExit("--samples %s: %r %s" % (n, code, err.getvalue()))
+f2 = PrimeField(2)
+base = catalog.instantiate("CD3_01", {}, f2)
+census = orbit_census_fp(base, cohomology(
+    base, catalog.named_forms("CD3_01", f2, {}), catalog.cd_flags("CD3_01")))
+print(sorted(census.class_counts.items()),
+      len(census.orbits_of(LineClass.U1)))
 print("ok")
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -217,7 +226,16 @@ print("ok")
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr + out.stdout
+    lines = out.stdout.splitlines()
+    assert out.returncode == 0 and lines[-1:] == ["ok"], out.stderr + out.stdout
+    f2 = FIELDS["F2"]
+    base = catalog.instantiate("CD3_01", {}, f2)
+    census = orbit_census_fp(base, cohomology(
+        base, catalog.named_forms("CD3_01", f2, {}), catalog.cd_flags("CD3_01")))
+    u1_orbits = len(census.orbits_of(LineClass.U1))
+    assert u1_orbits == 68
+    assert lines[:-1] == [str(sorted(census.class_counts.items())) + " "
+                          + str(u1_orbits)]
 
 
 def test_cyclotomic_relations():
