@@ -46,10 +46,13 @@ class Algebra:
         z = f.zero
         out = [z] * self.dim
         for (i, j), terms in self._nonzero.items():
-            c = x[i] * y[j]
+            c = x[i]
             if c:
-                for k, s in terms:
-                    out[k] = out[k] + c * s
+                d = y[j]
+                if d:
+                    c = c * d
+                    for k, s in terms:
+                        out[k] = out[k] + c * s
         return out
 
     def left_mult(self, x):
@@ -85,6 +88,19 @@ class Algebra:
         self._cache[key] = Subspace(f, n, kernel_basis(Matrix(f, rows)))
         return self._cache[key]
 
+    def square(self):
+        """(A^2, functionals): the span of the table's vectors, and a basis
+        of the linear functionals vanishing on it, each as its (index,
+        coefficient) pairs over the nonzero coefficients. Memoised, as the
+        structure table is never mutated."""
+        if "square" not in self._cache:
+            sq = self.subspace([self.table[i][j] for i, j in self._nonzero])
+            funcs = kernel_basis(Matrix(self.field, sq.basis
+                                        or [zero_vec(self.field, self.dim)]))
+            self._cache["square"] = sq, [[(m, c) for m, c in enumerate(lam)
+                                          if c] for lam in funcs]
+        return self._cache["square"]
+
     def power_chain(self):
         """Dimensions of the descending chain of product-span subspaces,
         starting at the whole algebra, ending at the first zero term if it
@@ -119,7 +135,7 @@ class Algebra:
             return self._cache["nilpotent"]
         z = self.field.zero
         n = self.dim
-        v = self.subspace([self.table[i][j] for i, j in self._nonzero])
+        v = self.square()[0]
         while v.dim:
             prods = []
             for x in v.basis:

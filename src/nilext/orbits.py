@@ -101,15 +101,34 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     last coordinate it can involve, over-approximated from b's nonzero
     structure constants, is bound. A leaf tests its conditions before the
     rank test, so is_homomorphism only rechecks the maps found. max_search
-    bounds the candidates."""
+    bounds the candidates.
+
+    An invertible homomorphism maps A^2 = AA onto phi(A)phi(A) = B^2, so it
+    induces an isomorphism A/A^2 -> B/B^2. Hence generators 0..g have images
+    of the same rank mod B^2 as they have mod A^2, and no map exists when
+    dim A/A^2 != dim B/B^2. That rank is tested for each generator, until
+    it is full, once the last coordinate B's functionals vanishing on B^2
+    involve is bound, except at a leaf, where the rank test decides
+    invertibility. A pruned subtree holds no invertible homomorphism, so
+    the order is unchanged."""
     n = a.dim
-    num_gens, steps, _, inv, coords = generating_scheme(a)
+    num_gens, steps, values, inv, coords = generating_scheme(a)
     width = n * num_gens
     total = len(domain) ** width
     if total > max_search:
         raise ResourceBound("%s search needs %d candidates, bound is %d" % (
             "automorphism" if a is b else "isomorphism", total, max_search))
     f = a.field
+    funcs_a, funcs_b = a.square()[1], b.square()[1]
+    if len(funcs_a) != len(funcs_b):
+        return iter(())
+
+    def rank(funcs, vecs):  # rank of vecs mod the square funcs vanish on
+        rows = [[sum((c * v[m] for m, c in lam), f.zero) for lam in funcs]
+                for v in vecs]
+        if min(len(rows), len(funcs)) == 1:
+            return int(any(map(any, rows)))
+        return Matrix(f, rows).rank()
 
     def reach(x, y):  # last coordinate each entry of x*y can involve, or -1
         out = [-1] * n
@@ -129,17 +148,35 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
         d = max(reach(last[i], last[j]) + [max(last[k]) for k, _ in terms])
         if d >= 0 and ("mul", i, j) not in steps:
             checks[d].append((i, j, terms))
+    ranked = [None] * width  # depth -> (g, rank mod A^2 of generators 0..g)
+    if funcs_b:
+        lead = max(m for lam in funcs_b for m, _ in lam)
+        gen_values = [v for s, v in zip(steps, values) if s[0] == "gen"]
+        r = 0
+        for g in range(num_gens):
+            if r < len(funcs_b) and g * n + lead < width - 1:
+                r = rank(funcs_a, gen_values[:g + 1])
+                ranked[g * n + lead] = g, r
     gens = [[f.zero] * n for _ in range(num_gens)]
 
     def consistent(imgs, conditions):
-        return all(b.multiply(imgs[i], imgs[j]) == [
-            sum((c * imgs[k][m] for k, c in terms), f.zero) for m in range(n)]
-            for i, j, terms in conditions)
+        for i, j, terms in conditions:
+            lhs = b.multiply(imgs[i], imgs[j])
+            if not terms:
+                if any(lhs):
+                    return False
+            elif lhs != [sum((c * imgs[k][m] for k, c in terms), f.zero)
+                         for m in range(n)]:
+                return False
+        return True
 
     def walk(d):
         leaf = d == width - 1
+        g, want = ranked[d] or (-1, 0)
         for x in domain:
             gens[d // n][d % n] = x
+            if g >= 0 and rank(funcs_b, gens[:g + 1]) != want:
+                continue
             if checks[d] or leaf:
                 imgs = eval_tree(b, steps, gens)
                 if not consistent(imgs, checks[d]):

@@ -216,8 +216,8 @@ def test_rref_matches_dense_reference_random():
 
 
 def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
-    """Every matrix that an iso_search query on a relation and on a
-    fingerprint-equal distinctness pair hands to rref."""
+    """Every matrix that iso_search queries on two relations and on a
+    fingerprint-equal distinctness pair hand to rref."""
     seen = []
     rref = Matrix.rref
 
@@ -227,14 +227,14 @@ def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", recording)
     f = FIELDS["Q"]
     grid = [f.one, -f.one, f.zero]
-    rid, images, _ = tables.RELATIONS[0]
-    vals = catalog.sample_parameters(rid, 1, 3)[0]
-    moved = {nm: eval_str(src, f, vals)
-             for nm, src in zip(tables.N4[rid]["params"], images)}
-    v = orbits.iso_search(catalog.instantiate(rid, vals),
-                          catalog.instantiate(rid, moved), grid=grid,
-                          primes=())
-    assert v.kind == "witness"
+    for rid, images, _ in tables.RELATIONS[:2]:
+        vals = catalog.sample_parameters(rid, 1, 3)[0]
+        moved = {nm: eval_str(src, f, vals)
+                 for nm, src in zip(tables.N4[rid]["params"], images)}
+        v = orbits.iso_search(catalog.instantiate(rid, vals),
+                              catalog.instantiate(rid, moved), grid=grid,
+                              primes=())
+        assert v.kind == "witness"
     a, b = (catalog.instantiate(eid, catalog.sample_parameters(eid, 1, 3)[0])
             for eid in ("N4_13", "N4_14"))
     assert orbits.iso_search(a, b, grid=grid, primes=(2,)).kind == "undecided"

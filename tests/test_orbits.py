@@ -210,27 +210,66 @@ def _transported(a, g):
                        for x in cols])
 
 
+def _random_table(f, rng, n, density):
+    """Any structure constants; mostly not nilpotent, often with A^2 = A."""
+    return Algebra(f, [[[f.random(rng) if rng.random() < density else f.zero
+                         for k in range(n)] for j in range(n)]
+                       for i in range(n)])
+
+
+def _ranks_mod_square(a):
+    """dim A^2, with A^2 spanned from every product of basis vectors, and
+    the rank mod A^2 of the scheme's generators 0..g for each g."""
+    num_gens, steps, values = generating_scheme(a)[:3]
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    sq = a.subspace([a.multiply(x, y) for x in basis for y in basis])
+    gens = [v for s, v in zip(steps, values) if s[0] == "gen"]
+    return sq.dim, [a.subspace(sq.basis + gens[:g + 1]).dim - sq.dim
+                    for g in range(num_gens)]
+
+
 def test_pruned_search_matches_product_loop_over_fp():
+    """Nilpotent tables, the same in random bases, and tables that are not
+    nilpotent, searched against isomorphic and unrelated targets; the cases
+    the pruning by rank mod the square treats apart must all occur."""
     rng = random.Random(64)
     gens_seen = set()
+    cases = set()
     for p in (2, 3):
         f = FIELDS["F%d" % p]
         for trial in range(24):
             n = 3 + trial % 2
-            a = _random_nilpotent(f, rng, n, 0.5)
+            a = [_random_nilpotent(f, rng, n, 0.5),
+                 _transported(_random_nilpotent(f, rng, n, 0.5),
+                              _random_invertible(f, rng, n)),
+                 _random_table(f, rng, n, 0.3)][trial % 3]
             num_gens = generating_scheme(a)[0]
             if p ** (n * num_gens) > 729:
                 continue
             gens_seen.add(num_gens)
+            sq_dim, ranks = _ranks_mod_square(a)
+            if not a.is_nilpotent():
+                cases.add("not nilpotent")
+            if sq_dim == n:
+                cases.add("A^2 = A")
+            elif ranks[0] == 0:
+                cases.add("generator 0 in A^2")
+            if sq_dim < n and any(r == q for q, r in zip(ranks, ranks[1:])):
+                cases.add("generator redundant mod A^2")
             elements = f.elements()
             assert aut_group_fp(a) == list(
                 _reference_homomorphisms(a, a, elements))
             others = [_transported(a, _random_invertible(f, rng, n)),
-                      _random_nilpotent(f, rng, n, 0.5)]
+                      _random_nilpotent(f, rng, n, 0.5),
+                      _random_table(f, rng, n, 0.3)]
             for b in others:
+                if _ranks_mod_square(b)[0] != sq_dim:
+                    cases.add("dim A/A^2 != dim B/B^2")
                 ref = next(_reference_homomorphisms(a, b, elements), None)
                 assert iso_search_fp(a, b) == ref
     assert {1, 2} <= gens_seen
+    assert cases == {"not nilpotent", "A^2 = A", "generator 0 in A^2",
+                     "generator redundant mod A^2", "dim A/A^2 != dim B/B^2"}
 
 
 def test_pruned_search_matches_product_loop_on_catalog_pairs():
@@ -416,6 +455,29 @@ def test_census_classifies_each_orbit_once(monkeypatch):
         coh = cohomology(a, forms, catalog.cd_flags(bid))
         census = orbit_census_fp(a, coh)
         assert len(calls) == len(census.orbits), bid
+
+
+def test_iso_search_prunes_by_rank_mod_square(monkeypatch):
+    """The searches between every two U1 orbit representatives' extensions
+    of AC7's CD3_01 setup over F2 evaluate the scheme 7,658 times. Without
+    the pruning by rank mod the square they took 56,770 evaluations."""
+    import nilext.orbits
+    calls = []
+
+    def counted(a, steps, gen_images):
+        calls.append(a)
+        return eval_tree(a, steps, gen_images)
+
+    bid, a, forms = _census_setups()[0]
+    coh = cohomology(a, forms, catalog.cd_flags(bid))
+    exts = [extension_of_line(a, coh, list(o.rep))
+            for o in orbit_census_fp(a, coh).orbits_of(LineClass.U1)]
+    monkeypatch.setattr(nilext.orbits, "eval_tree", counted)
+    found = [(x is y, iso_search_fp(x, y) is not None)
+             for x in exts for y in exts]
+    assert len(exts) == 68
+    assert all(same == iso for same, iso in found)
+    assert len(calls) == 7658
 
 
 def test_aut_group_checks_each_found_map_once(monkeypatch):
