@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import identities
-from .linalg import Matrix, Subspace, kernel_basis, is_zero_vec, zero_vec
+from .linalg import Matrix, Subspace, kernel_basis, zero_vec
 
 
 class Algebra:
@@ -30,6 +30,9 @@ class Algebra:
                               if c)
                 if terms:
                     self._nonzero[(i, j)] = terms
+        self._rows = {}  # i -> [(j, terms of e_i e_j)], in _nonzero's order
+        for (i, j), terms in self._nonzero.items():
+            self._rows.setdefault(i, []).append((j, terms))
         self._cache = {}
 
     def __repr__(self):
@@ -45,25 +48,16 @@ class Algebra:
         f = self.field
         z = f.zero
         out = [z] * self.dim
-        for (i, j), terms in self._nonzero.items():
+        for i, row in self._rows.items():
             c = x[i]
             if c:
-                d = y[j]
-                if d:
-                    c = c * d
-                    for k, s in terms:
-                        out[k] = out[k] + c * s
+                for j, terms in row:
+                    d = y[j]
+                    if d:
+                        cd = c * d
+                        for k, s in terms:
+                            out[k] = out[k] + cd * s
         return out
-
-    def left_mult(self, x):
-        """Matrix of y -> x*y."""
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
-
-    def right_mult(self, x):
-        """Matrix of y -> y*x."""
-        cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
 
     def subspace(self, vectors):
         return Subspace(self.field, self.dim, vectors)
@@ -88,18 +82,24 @@ class Algebra:
         self._cache[key] = Subspace(f, n, kernel_basis(Matrix(f, rows)))
         return self._cache[key]
 
-    def square(self):
-        """(A^2, functionals): the span of the table's vectors, and a basis
-        of the linear functionals vanishing on it, each as its (index,
-        coefficient) pairs over the nonzero coefficients. Memoised, as the
-        structure table is never mutated."""
+    def square(self) -> Subspace:
+        """A^2, the span of the table's vectors. Memoised, as the structure
+        table is never mutated."""
         if "square" not in self._cache:
-            sq = self.subspace([self.table[i][j] for i, j in self._nonzero])
+            self._cache["square"] = self.subspace(
+                [self.table[i][j] for i, j in self._nonzero])
+        return self._cache["square"]
+
+    def square_functionals(self):
+        """A basis of the linear functionals vanishing on A^2, each as its
+        (index, coefficient) pairs over the nonzero coefficients; memoised."""
+        if "square_funcs" not in self._cache:
+            sq = self.square()
             funcs = kernel_basis(Matrix(self.field, sq.basis
                                         or [zero_vec(self.field, self.dim)]))
-            self._cache["square"] = sq, [[(m, c) for m, c in enumerate(lam)
-                                          if c] for lam in funcs]
-        return self._cache["square"]
+            self._cache["square_funcs"] = [[(m, c) for m, c in enumerate(lam)
+                                            if c] for lam in funcs]
+        return self._cache["square_funcs"]
 
     def power_chain(self):
         """Dimensions of the descending chain of product-span subspaces,
@@ -135,7 +135,7 @@ class Algebra:
             return self._cache["nilpotent"]
         z = self.field.zero
         n = self.dim
-        v = self.square()[0]
+        v = self.square()
         while v.dim:
             prods = []
             for x in v.basis:
@@ -153,31 +153,44 @@ class Algebra:
         self._cache["nilpotent"] = v.dim == 0
         return self._cache["nilpotent"]
 
+    def _derivation_equations(self):
+        """The linear equations D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on an
+        n x n matrix D, one per (i, j, k) in that order, read at coordinate
+        k: each is {r * n + c: coefficient of the entry D[r][c]} over the
+        nonzero coefficients, and equations with none are left out."""
+        n = self.dim
+        z = self.field.zero
+        eqs = {}  # (i, j, k) -> {r * n + c: coefficient}
+
+        def add(key, rc, s):
+            eq = eqs.setdefault(key, {})
+            eq[rc] = eq.get(rc, z) + s
+
+        for (i, j), terms in self._nonzero.items():
+            for c, s in terms:  # D(e_i e_j) reads column c of D
+                for k in range(n):
+                    add((i, j, k), k * n + c, s)
+            # s = (e_i e_j)_k: D(e_m) e_j gives -s D[i][m] in (m, j, k),
+            # e_i D(e_m) gives -s D[j][m] in (i, m, k)
+            for k, s in terms:
+                for m in range(n):
+                    add((m, j, k), i * n + m, -s)
+                    add((i, m, k), j * n + m, -s)
+        out = []
+        for key in sorted(eqs):
+            eq = {rc: s for rc, s in eqs[key].items() if s}
+            if eq:
+                out.append(eq)
+        return out
+
     def derivations(self) -> Subspace:
         """Matrices D with D(xy) = D(x)y + xD(y), flattened row-major."""
         if "der" in self._cache:
             return self._cache["der"]
         f = self.field
         n = self.dim
-        z = f.zero
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                cij = self.table[i][j]
-                for k in range(n):
-                    row = [z] * (n * n)
-                    for c in range(n):
-                        if cij[c]:
-                            row[k * n + c] = row[k * n + c] + cij[c]
-                    for r in range(n):
-                        crjk = self.table[r][j][k]
-                        if crjk:
-                            row[r * n + i] = row[r * n + i] - crjk
-                        cirk = self.table[i][r][k]
-                        if cirk:
-                            row[r * n + j] = row[r * n + j] - cirk
-                    if not is_zero_vec(f, row):
-                        rows.append(row)
+        rows = [[eq.get(rc, f.zero) for rc in range(n * n)]
+                for eq in self._derivation_equations()]
         if not rows:
             sub = Subspace(f, n * n, Matrix.identity(f, n * n).rows)
         else:
@@ -197,18 +210,42 @@ class Algebra:
     def is_cd_by_operators(self) -> bool:
         """Same property tested through operators: every commutator of two
         multiplication operators (left or right, in any mix) must be a
-        derivation."""
-        der = self.derivations()
+        derivation. Der(A) is not built: each commutator is substituted
+        into the derivation equations, and the first equation it fails
+        decides. The operators L_e_i and R_e_i are read off the nonzero
+        structure constants as {row: {column: entry}}; zero ones commute
+        into 0, a derivation, and are dropped."""
         n = self.dim
-        ops = []
-        for i in range(n):
-            e = self.basis_vector(i)
-            ops.append(self.left_mult(e))
-            ops.append(self.right_mult(e))
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                comm = ops[a] * ops[b] - ops[b] * ops[a]
-                if not der.contains(comm.flatten()):
+        z = self.field.zero
+        reads = {}  # r * n + c -> [(equation, coefficient of D[r][c])]
+        for e, eq in enumerate(self._derivation_equations()):
+            for rc, s in eq.items():
+                reads.setdefault(rc, []).append((e, s))
+        ops = [({}, {}) for _ in range(n)]  # (L_e_i, R_e_i)
+        for (i, j), terms in self._nonzero.items():
+            for k, s in terms:  # L_e_i[k][j] = R_e_j[k][i] = s
+                ops[i][0].setdefault(k, {})[j] = s
+                ops[j][1].setdefault(k, {})[i] = s
+        ops = [op for pair in ops for op in pair if op]
+
+        def times(x, y):  # x y as {r * n + c: entry}
+            out = {}
+            for r, row in x.items():
+                for m, a in row.items():
+                    for c, b in y.get(m, {}).items():
+                        out[r * n + c] = out.get(r * n + c, z) + a * b
+            return out
+
+        for p in range(len(ops)):
+            for q in range(p + 1, len(ops)):
+                xy, yx = times(ops[p], ops[q]), times(ops[q], ops[p])
+                res = {}
+                for rc in xy.keys() | yx.keys():
+                    v = xy.get(rc, z) - yx.get(rc, z)
+                    if v:
+                        for e, s in reads.get(rc, ()):
+                            res[e] = res.get(e, z) + s * v
+                if any(res.values()):
                     return False
         return True
 

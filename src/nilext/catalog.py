@@ -463,12 +463,14 @@ def _expected_alia(field, dim_count):
 
 def _check_corollaries(samples, seed):
     recs = []
+    sampled = {eid: [(vals, instantiate(eid, vals)) for vals in
+                     sample_parameters(eid, samples, seed)[:samples]]
+               for eid in all_ids()}
     for eid in all_ids():
         bad = None
         tried = 0
-        for vals in sample_parameters(eid, samples, seed)[:samples]:
+        for vals, a in sampled[eid]:
             tried += 1
-            a = instantiate(eid, vals)
             if not holds(a, builtin("jacobi_commutator")):
                 bad = "commutator fails its closing identity at %s" % (
                     _params_str(vals) or "-")
@@ -497,16 +499,14 @@ def _check_corollaries(samples, seed):
     for nid in sorted(tables.N4):
         e = entry(nid)
         cond = tables.ALIA_EXCLUDED.get(nid, "absent")
-        cases = [(vals, None) for vals in
-                 sample_parameters(nid, samples, seed)[:samples]]
+        cases = list(sampled[nid])
         if isinstance(cond, tuple):
             special = dict(cases[0][0])
             special[cond[0]] = eval_str(cond[1], QQ, {})
             if _admissible(e, special):
-                cases.append((special, "boundary"))
+                cases.append((special, instantiate(nid, special)))
         problems = []
-        for vals, _tag in cases:
-            a = instantiate(nid, vals)
+        for vals, a in cases:
             is_alia = all(holds(a, builtin(nm)) for nm in ALIA_NAMES)
             if cond == "absent":
                 excluded = False

@@ -59,9 +59,6 @@ def _table(algebra, shape):
         one = algebra.field.one
         memo[shape] = {(i,): {i: one} for i in range(algebra.dim)}
         return memo[shape]
-    rows = {}  # i -> [(j, structure constants of e_i e_j)]
-    for (i, j), terms in algebra._nonzero.items():
-        rows.setdefault(i, []).append((j, terms))
     right = {}  # j -> [(tuple, coefficient of e_j)] over the right table
     for t, x in _table(algebra, _shape(shape[1], [])).items():
         for j, c in x.items():
@@ -69,7 +66,7 @@ def _table(algebra, shape):
     acc = {}
     for tu, xu in _table(algebra, shape[0]).items():
         for i, a in xu.items():
-            for j, terms in rows.get(i, ()):
+            for j, terms in algebra._rows.get(i, ()):
                 for tv, b in right.get(j, ()):
                     ab = a * b
                     out = acc.setdefault(tu + tv, {})

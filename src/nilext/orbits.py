@@ -119,7 +119,7 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
         raise ResourceBound("%s search needs %d candidates, bound is %d" % (
             "automorphism" if a is b else "isomorphism", total, max_search))
     f = a.field
-    funcs_a, funcs_b = a.square()[1], b.square()[1]
+    funcs_a, funcs_b = a.square_functionals(), b.square_functionals()
     if len(funcs_a) != len(funcs_b):
         return iter(())
 
@@ -305,7 +305,8 @@ def witness_extension_iso(a: Algebra, coh: CohomologyBasis, rep_coords,
     line action sends the orbit representative to the member.
 
     Returns a (dim+1)-square matrix from the member's extension to the
-    representative's.
+    representative's. Raises ValueError when phi's action does not send
+    the representative's line to the member's.
     """
     f = a.field
     n = a.dim
@@ -317,9 +318,10 @@ def witness_extension_iso(a: Algebra, coh: CohomologyBasis, rep_coords,
     for k in range(n):
         cols.append(coboundary(a, a.basis_vector(k)).flatten())
     sol = solve_linear(Matrix.from_cols(f, cols), pulled.flatten())
-    assert sol is not None, "pulled form must match the member mod coboundaries"
+    if sol is None or not sol[0]:
+        raise ValueError("witness does not send the representative's line "
+                         "to the member's")
     c, fun = sol[0], sol[1:]
-    assert c
     rows = [list(phi.rows[i]) + [f.zero] for i in range(n)]
     rows.append(list(fun) + [c])
     return Matrix(f, rows)

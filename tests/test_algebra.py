@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 from nilext import catalog
 from nilext.algebra import (Algebra, eval_tree, fingerprint,
                             generating_scheme, is_automorphism,
                             is_homomorphism)
-from nilext.linalg import Matrix, Subspace
-from nilext.scalars import FIELDS, QQ
+from nilext.linalg import Matrix, Subspace, kernel_basis
+from nilext.scalars import FIELDS, QQ, roots_of_unity
 
 
 def test_multiply_bilinear_random():
@@ -195,12 +196,110 @@ def test_change_field():
     assert b.annihilator().dim == 1
 
 
+def _left_mult(a, x):
+    """Matrix of y -> x*y."""
+    return Matrix.from_cols(a.field, [a.multiply(x, a.basis_vector(j))
+                                      for j in range(a.dim)])
+
+
+def _right_mult(a, x):
+    """Matrix of y -> y*x."""
+    return Matrix.from_cols(a.field, [a.multiply(a.basis_vector(j), x)
+                                      for j in range(a.dim)])
+
+
+def _reference_derivations(a):
+    """Der(A) from dense equations, one row per (i, j, k), written from the
+    dense structure table."""
+    f, n = a.field, a.dim
+    rows = []
+    for i, j, k in product(range(n), repeat=3):
+        row = [f.zero] * (n * n)
+        for c in range(n):
+            row[k * n + c] = row[k * n + c] + a.table[i][j][c]
+        for r in range(n):
+            row[r * n + i] = row[r * n + i] - a.table[r][j][k]
+            row[r * n + j] = row[r * n + j] - a.table[i][r][k]
+        if any(row):
+            rows.append(row)
+    return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
+                    else Matrix.identity(f, n * n).rows)
+
+
+def _reference_is_cd_by_operators(a, der):
+    """The kernel route: every commutator of two of the dense L_e_i and
+    R_e_i lies in der, which is Der(A)."""
+    ops = []
+    for i in range(a.dim):
+        e = a.basis_vector(i)
+        ops += [_left_mult(a, e), _right_mult(a, e)]
+    return all(der.contains((x * y - y * x).flatten())
+               for k, x in enumerate(ops) for y in ops[k + 1:])
+
+
+def _check_operator_route(a, compare_der=True):
+    """The operator route, which must not build Der(A), against the
+    kernel route; compare_der also checks derivations() against the dense
+    equations."""
+    got = a.is_cd_by_operators()
+    assert "der" not in a._cache
+    der = _reference_derivations(a)
+    assert got == _reference_is_cd_by_operators(a, der)
+    if compare_der:
+        assert a.derivations() == der
+    return got
+
+
 def test_cd_routes_agree_on_catalog_samples():
-    for eid in ("CD3_04", "N4_05", "N4_48"):
-        vals = catalog.sample_parameters(eid, 1)[0]
-        a = catalog.instantiate(eid, vals)
-        by_ids = all(a.satisfies(nm) for nm in ("cd1", "cd2", "cd3"))
-        assert by_ids == a.is_cd_by_operators()
+    """The identity, operator and kernel routes on every entry at seeds 0-2."""
+    for seed in range(3):
+        for eid in catalog.all_ids():
+            vals = catalog.sample_parameters(eid, 1, seed)[0]
+            a = catalog.instantiate(eid, vals)
+            assert _check_operator_route(a) == a.is_cd_by_identities()
+
+
+def test_operator_route_matches_kernel_route_random():
+    """150 seeded tables of dims 2-4 per field, half strictly upper
+    triangular and half unrestricted, at several densities. Over QZ12 the
+    entries are twelfth roots of unity, whose sums stay short in the
+    reference's rrefs."""
+    rng = random.Random(39)
+    outcomes = set()
+    for name in ("Q", "F2", "F3", "QZ12"):
+        f = FIELDS[name]
+        roots = roots_of_unity(f, 12)
+        draw = ((lambda: rng.choice(roots)) if name == "QZ12"
+                else (lambda: f.random(rng)))
+        for trial in range(150):
+            n = rng.randrange(2, 5)
+            upper = trial % 2 == 0
+            density = rng.choice((0.1, 0.25, 0.5))
+            table = [[[draw() if (k > max(i, j) or not upper)
+                       and rng.random() < density else f.zero
+                       for k in range(n)] for j in range(n)]
+                     for i in range(n)]
+            got = _check_operator_route(Algebra(f, table), name != "QZ12")
+            outcomes.add((name, upper, got))
+    assert len(outcomes) == 16
+
+
+def test_multiply_matches_dense_reference():
+    rng = random.Random(40)
+    for name in ("Q", "F2", "F3", "QZ12"):
+        f = FIELDS[name]
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            density = rng.choice((0.1, 0.3, 0.7))
+            table = [[[f.random(rng) if rng.random() < density else f.zero
+                       for k in range(n)] for j in range(n)] for i in range(n)]
+            a = Algebra(f, table)
+            for _ in range(5):
+                x, y = ([f.random(rng) if rng.random() < 0.6 else f.zero
+                         for _ in range(n)] for _ in range(2))
+                assert a.multiply(x, y) == [
+                    sum((x[i] * y[j] * table[i][j][k] for i in range(n)
+                         for j in range(n)), f.zero) for k in range(n)]
 
 
 def _reference_is_nilpotent(a):
@@ -211,7 +310,7 @@ def _reference_is_nilpotent(a):
     mats = []
     for i in range(n):
         e = a.basis_vector(i)
-        mats += [a.left_mult(e), a.right_mult(e)]
+        mats += [_left_mult(a, e), _right_mult(a, e)]
     span = Subspace(f, n * n, [m.flatten() for m in mats])
     basis_mats = [Matrix.unflatten(f, n, v) for v in span.basis]
     grew = True
@@ -241,6 +340,7 @@ def test_is_nilpotent_matches_reference_on_catalog():
     for eid in catalog.all_ids():
         a = catalog.instantiate(eid, catalog.sample_parameters(eid, 1)[0])
         assert a.is_nilpotent() == _reference_is_nilpotent(a) is True
+        assert "square_funcs" not in a._cache
 
 
 def _random_invertible(f, rng, n):

@@ -177,6 +177,11 @@ def test_orbit_witnesses_reach_members():
             assert psi.is_invertible()
             checked += 1
     assert checked >= 3
+    o = next(o for o in census.orbits if o.size >= 2)
+    member = next(m for m in o.members if m != o.rep)
+    with pytest.raises(ValueError, match="does not send"):
+        witness_extension_iso(a, coh, list(o.rep), list(member),
+                              Matrix.identity(f2, a.dim))
 
 
 def _reference_homomorphisms(a, b, domain):
