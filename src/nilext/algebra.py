@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import identities
-from .linalg import Matrix, Subspace, kernel_basis, zero_vec
+from .linalg import Matrix, Subspace, kernel_basis, sparse_rref, zero_vec
 
 
 class Algebra:
@@ -64,7 +64,9 @@ class Algebra:
 
     def annihilator(self, side="both") -> Subspace:
         """Vectors x with x*A = 0 (left), A*x = 0 (right), or both;
-        memoised, as the structure table is never mutated."""
+        memoised, as the structure table is never mutated. The equations
+        sum_i x_i (e_i e_j)_k = 0 (left) and sum_i (e_j e_i)_k x_i = 0
+        (right) are written from the nonzero structure constants."""
         if side not in ("both", "left", "right"):
             raise ValueError("annihilator side must be both, left or right")
         key = "ann:" + side
@@ -72,14 +74,24 @@ class Algebra:
             return self._cache[key]
         f = self.field
         n = self.dim
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                if side in ("both", "left"):
-                    rows.append([self.table[i][j][k] for i in range(n)])
-                if side in ("both", "right"):
-                    rows.append([self.table[j][i][k] for i in range(n)])
-        self._cache[key] = Subspace(f, n, kernel_basis(Matrix(f, rows)))
+        eqs = {}  # (side, j, k) -> {i: coefficient of x_i}
+        for (i, j), terms in self._nonzero.items():
+            for k, c in terms:
+                if side != "right":
+                    eqs.setdefault(("left", j, k), {})[i] = c
+                if side != "left":
+                    eqs.setdefault(("right", i, k), {})[j] = c
+        pivots = sparse_rref(f, eqs.values())
+        basis = []
+        for c in range(n):
+            if c not in pivots:
+                v = zero_vec(f, n)
+                v[c] = f.one
+                for p, row in pivots.items():
+                    if c in row:
+                        v[p] = -row[c]
+                basis.append(v)
+        self._cache[key] = Subspace(f, n, basis)
         return self._cache[key]
 
     def square(self) -> Subspace:
@@ -104,10 +116,11 @@ class Algebra:
     def power_chain(self):
         """Dimensions of the descending chain of product-span subspaces,
         starting at the whole algebra, ending at the first zero term if it
-        is reached within dim*dim + 2 steps."""
+        is reached within dim*dim + 2 steps. The second term is the
+        memoised square()."""
         full = self.subspace([self.basis_vector(i) for i in range(self.dim)])
-        powers = [full]
-        dims = [full.dim]
+        powers = [full, self.square()] if self.dim else [full]
+        dims = [p.dim for p in powers]
         cap = self.dim * self.dim + 2
         while dims[-1] > 0 and len(powers) < cap:
             k = len(powers) + 1
@@ -183,20 +196,10 @@ class Algebra:
                 out.append(eq)
         return out
 
-    def derivations(self) -> Subspace:
-        """Matrices D with D(xy) = D(x)y + xD(y), flattened row-major."""
-        if "der" in self._cache:
-            return self._cache["der"]
-        f = self.field
-        n = self.dim
-        rows = [[eq.get(rc, f.zero) for rc in range(n * n)]
-                for eq in self._derivation_equations()]
-        if not rows:
-            sub = Subspace(f, n * n, Matrix.identity(f, n * n).rows)
-        else:
-            sub = Subspace(f, n * n, kernel_basis(Matrix(f, rows)))
-        self._cache["der"] = sub
-        return sub
+    def der_dim(self) -> int:
+        """dim Der(A): n^2 minus the rank of the derivation equations."""
+        return self.dim * self.dim - len(
+            sparse_rref(self.field, self._derivation_equations()))
 
     def satisfies(self, name: str) -> bool:
         key = "id:" + name
@@ -275,6 +278,36 @@ _FP_IDENTITIES = ("commutative", "anticommutative", "cd1", "cd2", "cd3",
                   "left3zero", "right3zero", "jacobi_commutator",
                   "alia0", "alia1", "alia_opposite")
 
+# The fingerprint's invariants, in the order they are compared: its fields,
+# then the identities of _FP_IDENTITIES. Each maps an algebra to its value.
+_INVARIANTS = dict([
+    ("dim", lambda a: a.dim),
+    ("nilpotent", Algebra.is_nilpotent),
+    ("chain", lambda a: tuple(a.power_chain())),
+    ("ann_dim", lambda a: a.annihilator("both").dim),
+    ("left_ann_dim", lambda a: a.annihilator("left").dim),
+    ("right_ann_dim", lambda a: a.annihilator("right").dim),
+    ("der_dim", Algebra.der_dim),
+] + [(nm, lambda a, nm=nm: a.satisfies(nm)) for nm in _FP_IDENTITIES])
+
+
+def invariant(a: Algebra, name: str):
+    """The named fingerprint invariant of a; memoised in a._cache."""
+    key = "inv:" + name
+    if key not in a._cache:
+        a._cache[key] = _INVARIANTS[name](a)
+    return a._cache[key]
+
+
+def first_difference(a: Algebra, b: Algebra):
+    """The first fingerprint invariant, in comparison order, on which a and
+    b differ, or None. Each is computed for both algebras only once the
+    ones before it agree."""
+    for name in _INVARIANTS:
+        if invariant(a, name) != invariant(b, name):
+            return name
+    return None
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -287,32 +320,12 @@ class Fingerprint:
     der_dim: int
     ids: tuple  # of (name, bool)
 
-    def first_difference(self, other):
-        for fld in ("dim", "nilpotent", "chain", "ann_dim", "left_ann_dim",
-                    "right_ann_dim", "der_dim"):
-            if getattr(self, fld) != getattr(other, fld):
-                return fld
-        for (na, va), (_, vb) in zip(self.ids, other.ids):
-            if va != vb:
-                return na
-        return None
-
 
 def fingerprint(a: Algebra) -> Fingerprint:
-    if "fingerprint" in a._cache:
-        return a._cache["fingerprint"]
-    fp = Fingerprint(
-        dim=a.dim,
-        nilpotent=a.is_nilpotent(),
-        chain=tuple(a.power_chain()),
-        ann_dim=a.annihilator("both").dim,
-        left_ann_dim=a.annihilator("left").dim,
-        right_ann_dim=a.annihilator("right").dim,
-        der_dim=a.derivations().dim,
-        ids=tuple((nm, a.satisfies(nm)) for nm in _FP_IDENTITIES),
-    )
-    a._cache["fingerprint"] = fp
-    return fp
+    """Every invariant of a, from the table first_difference walks."""
+    values = [invariant(a, name) for name in _INVARIANTS]
+    k = len(_INVARIANTS) - len(_FP_IDENTITIES)
+    return Fingerprint(*values[:k], ids=tuple(zip(_FP_IDENTITIES, values[k:])))
 
 
 def generating_scheme(a: Algebra):

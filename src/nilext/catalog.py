@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tables
-from .algebra import Algebra, fingerprint
+from .algebra import Algebra, first_difference
 from .exprs import eval_str, field_env, poly_str
 from .extensions import BilinearForm, central_extension, cohomology
 from .identities import ALIA_NAMES, CD_NAMES, builtin, holds, \
@@ -206,7 +206,9 @@ def sample_parameters(entry_id: str, count=3, seed=0):
             vals[name] = seq[k % len(seq)]
             if name != "lambda":
                 pos += 1
-        assert _admissible(e, vals)
+        if not _admissible(e, vals):
+            raise RuntimeError("sampled parameters %s are not admissible"
+                               % _params_str(vals))
         out.append(vals)
     for rid, exprs, fname in tables.RELATIONS:
         if rid != entry_id or fname != "Q":
@@ -424,7 +426,7 @@ def _check_relations(max_search, seed):
     for id1, id2 in tables.DISTINCT_PAIRS:
         a = instantiate(id1, sample_parameters(id1, 1, seed)[0])
         b = instantiate(id2, sample_parameters(id2, 1, seed)[0])
-        diff = fingerprint(a).first_difference(fingerprint(b))
+        diff = first_difference(a, b)
         pair = "%s|%s" % (id1, id2)
         if diff:
             recs.append(CheckRecord("relations.distinct", pair, "", "pass",

@@ -151,7 +151,8 @@ def eval_field(ast, field, env):
         return a - b
     if kind == "mul":
         return a * b
-    assert kind == "div"
+    if kind != "div":
+        raise RuntimeError("unknown expression node %r" % (kind,))
     if not b:
         raise ZeroDivisionError("division by zero while evaluating expression")
     return a / b

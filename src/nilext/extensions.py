@@ -261,9 +261,9 @@ def cohomology(a: Algebra, named_reps=None, named_cd_flags=None) -> CohomologyBa
     full = Subspace(f, n * n, Matrix.identity(f, n * n).rows)
     b2 = b2_space(a)
     z2cd = cd_cocycle_space(a)
-    if z2cd is not None:
-        assert all(z2cd.contains(v) for v in b2.basis), \
-            "coboundaries must satisfy the induced identity constraints"
+    if z2cd is not None and not all(z2cd.contains(v) for v in b2.basis):
+        raise RuntimeError("coboundaries must satisfy the induced identity "
+                           "constraints")
     notes = []
     if named_reps is not None:
         span = Subspace(f, n * n, list(b2.basis)

@@ -94,17 +94,32 @@ def _entries(algebra, factors):
         yield (place(tup) if place else tup), [x for _, x in picks]
 
 
+def _factor(field, c):
+    """How a term with coefficient c enters a sum, as (subtract, factor).
+    Every builtin term has c = 1 or -1: its values are then added or
+    subtracted as they are, and factor is None. Otherwise they are
+    multiplied by factor, c in the field, and added."""
+    if c in (1, -1):
+        return c == -1, None
+    return False, field.from_fraction(c)
+
+
 def first_failure(algebra, ident: Identity):
     """First basis tuple, in product order, where the identity fails, with
     its value as a dense vector; None if the identity holds."""
     z = algebra.field.zero
     acc = {}
     for c, w in ident.terms:
-        cf = algebra.field.from_fraction(c)
+        sub, cf = _factor(algebra.field, c)
         for tup, (x,) in _entries(algebra, [w]):
             out = acc.setdefault(tup, {})
             for k, y in x.items():
-                out[k] = out[k] + cf * y if k in out else cf * y
+                if cf is not None:
+                    y = cf * y
+                if k in out:
+                    out[k] = out[k] - y if sub else out[k] + y
+                else:
+                    out[k] = -y if sub else y
     failing = [tup for tup, out in acc.items() if any(out.values())]
     if not failing:
         return None
@@ -135,11 +150,11 @@ def induced_cocycle_constraints(algebra, ident: Identity) -> Subspace:
     n = algebra.dim
     acc = {}
     for c, w in ident.terms:
-        cf = f.from_fraction(c)
+        sub, cf = _factor(f, c)
         for tup, (xu, xv) in _entries(algebra, w):
             row = acc.setdefault(tup, {})
             for i, x in xu.items():
-                cx = cf * x
+                cx = cf * x if cf is not None else -x if sub else x
                 for j, y in xv.items():
                     row[i * n + j] = row.get(i * n + j, f.zero) + cx * y
     rows = [[acc[tup].get(ij, f.zero) for ij in range(n * n)]

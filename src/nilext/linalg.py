@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Exact linear algebra over the scalar fields: dense matrices, and
+elimination on sparse rows.
 
 Vectors are plain lists of field elements. Subspaces are canonicalized to
 reduced row echelon bases, so two subspaces are equal exactly when their
@@ -204,6 +205,42 @@ def kernel_basis(m: Matrix):
     return basis
 
 
+def sparse_rref(field, rows):
+    """Exact elimination on sparse rows {column: coefficient}; returns the
+    reduced pivot rows as {pivot column: row}, so the rank is their number.
+
+    Each row is reduced by the pivot rows found so far, at their pivot
+    columns; if anything is left, its least column becomes a new pivot, the
+    row is scaled to 1 there and that column is cleared from the earlier
+    pivot rows. Every pivot row then is 1 at its own pivot, 0 at the other
+    pivots and 0 left of its pivot: sorted by pivot, the rows are the
+    reduced row echelon form of the input."""
+    pivots = {}
+
+    def subtract(row, m, prow):  # row -= m * prow, keeping nonzeros only
+        for j, y in prow.items():
+            v = row[j] - m * y if j in row else -(m * y)
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for c in [c for c in row if c in pivots]:
+            subtract(row, row[c], pivots[c])
+        if not row:
+            continue
+        p = min(row)
+        inv = field.one / row[p]
+        row = {j: inv * x for j, x in row.items()}
+        for prow in pivots.values():
+            if p in prow:
+                subtract(prow, prow[p], row)
+        pivots[p] = row
+    return pivots
+
+
 def solve_linear(m: Matrix, b):
     """A particular solution of m x = b, or None."""
     f = m.field
@@ -297,5 +334,6 @@ def complement_reps(u: Subspace, w: Subspace):
         if not cur.contains(b):
             reps.append(list(b))
             cur = cur.add(Subspace(u.field, u.ambient, [b]))
-    assert cur == u
+    if cur != u:
+        raise RuntimeError("coset representatives do not span the subspace")
     return reps

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import mul
 
-from .algebra import (Algebra, eval_tree, fingerprint, generating_scheme,
-                      is_homomorphism)
+from .algebra import (Algebra, eval_tree, first_difference,
+                      generating_scheme, invariant, is_homomorphism)
 from .extensions import (BilinearForm, CohomologyBasis, LineClass,
                          central_extension, classify_line, cohomology)
 from .linalg import Matrix, Subspace, solve_linear, vec_scale, vec_sub
@@ -281,8 +281,8 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
             img = [sum(map(mul, row, t)) % p for row in rows]
             lead = inverse[next(filter(None, img))]
             reached.setdefault(tuple(lead * c % p for c in img), phi)
-        assert seen.isdisjoint(reached), \
-            "a line is reached from two representatives"
+        if not seen.isdisjoint(reached):
+            raise RuntimeError("a line is reached from two representatives")
         seen.update(reached)
         as_elts = {m: tuple(elts[c] for c in m) for m in sorted(reached)}
         witnesses = {as_elts[m]: phi for m, phi in reached.items()}
@@ -387,11 +387,11 @@ def iso_search(a: Algebra, b: Algebra, grid=None, primes=_DEFAULT_PRIMES,
         if w is not None:
             return Verdict("witness", witness=w)
         return Verdict("distinct", component="exhaustive-search")
-    fa, fb = fingerprint(a), fingerprint(b)
-    diff = fa.first_difference(fb)
+    diff = first_difference(a, b)
     if diff is not None:
         return Verdict("distinct", component=diff,
-                       evidence={"left": str(fa), "right": str(fb)})
+                       evidence={"left": str(invariant(a, diff)),
+                                 "right": str(invariant(b, diff))})
     evidence = {}
     if grid is None:
         grid = _default_grid(a.field)

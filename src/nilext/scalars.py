@@ -87,13 +87,14 @@ class Cyc12:
             for j, b in enumerate(other.coeffs):
                 if b:
                     acc[i + j] += a * b
-        out = list(acc[:4])
-        for k in range(4, 7):
-            if acc[k]:
-                red = _ZPOW[k]
-                for t in range(4):
-                    out[t] += acc[k] * red[t]
-        return _cyc12(tuple(out))
+        c0, c1, c2, c3, c4, c5, c6 = acc
+        if c4:  # z^4 = z^2 - 1
+            c0, c2 = c0 - c4, c2 + c4
+        if c5:  # z^5 = z^3 - z
+            c1, c3 = c1 - c5, c3 + c5
+        if c6:  # z^6 = -1
+            c0 = c0 - c6
+        return _cyc12((c0, c1, c2, c3))
 
     __rmul__ = __mul__
 
@@ -104,9 +105,9 @@ class Cyc12:
         acc = [Fraction(0)] * 4
         for j, a in enumerate(self.coeffs):
             if a:
-                red = _ZPOW[(j * k) % 12]
-                for t in range(4):
-                    acc[t] += a * red[t]
+                for t, s in enumerate(_ZPOW[(j * k) % 12]):
+                    if s:
+                        acc[t] = acc[t] + a if s > 0 else acc[t] - a
         return _cyc12(tuple(acc))
 
     def inverse(self) -> "Cyc12":
@@ -114,7 +115,8 @@ class Cyc12:
             raise ZeroDivisionError("division by zero in QZ12")
         conj = self.galois(5) * self.galois(7) * self.galois(11)
         norm = self * conj
-        assert norm.coeffs[1] == 0 and norm.coeffs[2] == 0 and norm.coeffs[3] == 0
+        if any(norm.coeffs[1:]):
+            raise RuntimeError("the norm of %r is not rational" % (self,))
         n = norm.coeffs[0]
         return _cyc12(tuple(c / n for c in conj.coeffs))
 

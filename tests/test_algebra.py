@@ -1,8 +1,8 @@
 import random
 from itertools import product
 
-from nilext import catalog
-from nilext.algebra import (Algebra, eval_tree, fingerprint,
+from nilext import catalog, tables
+from nilext.algebra import (Algebra, eval_tree, fingerprint, first_difference,
                             generating_scheme, is_automorphism,
                             is_homomorphism)
 from nilext.linalg import Matrix, Subspace, kernel_basis
@@ -71,9 +71,98 @@ def test_annihilator_memoised():
         pass
 
 
+def _derivations(a):
+    """Der(A) as the kernel of the dense rows of the derivation
+    equations, matrices flattened row-major."""
+    f, n = a.field, a.dim
+    rows = [[eq.get(rc, f.zero) for rc in range(n * n)]
+            for eq in a._derivation_equations()]
+    return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
+                    else Matrix.identity(f, n * n).rows)
+
+
+def _reference_power_chain(a):
+    """The product-span chain with its second term built, as the others
+    are, from products of basis vectors through multiply."""
+    full = a.subspace([a.basis_vector(i) for i in range(a.dim)])
+    powers = [full]
+    dims = [full.dim]
+    while dims[-1] > 0 and len(powers) < a.dim * a.dim + 2:
+        k = len(powers) + 1
+        acc = a.subspace([a.multiply(x, y) for i in range(1, k)
+                          for x in powers[i - 1].basis
+                          for y in powers[k - i - 1].basis])
+        powers.append(acc)
+        dims.append(acc.dim)
+    return dims
+
+
+def _reference_annihilator(a, side):
+    """The annihilator as the kernel of dense equations, one per (j, k)
+    and side, written from the dense structure table."""
+    f, n = a.field, a.dim
+    rows = []
+    for j, k in product(range(n), repeat=2):
+        if side in ("both", "left"):
+            rows.append([a.table[i][j][k] for i in range(n)])
+        if side in ("both", "right"):
+            rows.append([a.table[j][i][k] for i in range(n)])
+    return Subspace(f, n, kernel_basis(Matrix(f, rows)))
+
+
+def _invariant_samples():
+    """Every catalog entry at seeds 0-2 over Q, the QZ12 relations at
+    two samples, and seeded F3 and QZ12 tables of dims 1-4: strictly upper
+    triangular ones, and over F3 also unrestricted ones. (Unrestricted
+    QZ12 tables often have A^2 = A, and their chains then run dim^2 + 2
+    terms of slow products.)"""
+    out = [catalog.instantiate(eid, catalog.sample_parameters(eid, 1, seed)[0])
+           for seed in range(3) for eid in catalog.all_ids()]
+    for rid, _, fname in tables.RELATIONS:
+        if fname == "QZ12":
+            out += [catalog.instantiate(rid, vals, FIELDS[fname])
+                    for vals in catalog.sample_parameters(rid, 2, 0)]
+    rng = random.Random(42)
+    for name in ("F3", "QZ12"):
+        f = FIELDS[name]
+        for trial in range(30):
+            n = rng.randrange(1, 5)
+            upper = trial % 2 == 0 or name == "QZ12"
+            density = rng.choice((0.15, 0.4, 0.7))
+            out.append(Algebra(f, [[[f.random(rng) if (k > max(i, j)
+                                                        or not upper)
+                                     and rng.random() < density else f.zero
+                                     for k in range(n)] for j in range(n)]
+                                   for i in range(n)]))
+    return out
+
+
+def test_power_chain_matches_product_loop():
+    chains = set()
+    for a in _invariant_samples():
+        got = a.power_chain()
+        assert got == _reference_power_chain(a), a.label
+        chains.add(tuple(got))
+    assert len(chains) >= 10
+
+
+def test_sparse_invariants_match_dense_equations():
+    """der_dim against the kernel of the dense derivation equations and
+    each annihilator against the kernel of its dense equations."""
+    dims = set()
+    for a in _invariant_samples():
+        assert a.der_dim() == _derivations(a).dim, a.label
+        for side in ("both", "left", "right"):
+            ann = a.annihilator(side)
+            assert ann == _reference_annihilator(a, side), (a.label, side)
+            dims.add((side, ann.dim))
+        dims.add(("der", a.der_dim()))
+    assert len(dims) >= 15
+
+
 def test_derivations_are_lie_closed():
     a = catalog.instantiate("CD3_03")
-    der = a.derivations()
+    der = _derivations(a)
     mats = [Matrix.unflatten(a.field, a.dim, v) for v in der.basis]
     for d1 in mats:
         for d2 in mats:
@@ -84,7 +173,7 @@ def test_derivations_are_lie_closed():
 def test_derivation_property_random():
     rng = random.Random(32)
     a = catalog.instantiate("N4_21", catalog.sample_parameters("N4_21", 1)[0])
-    der = a.derivations()
+    der = _derivations(a)
     f = a.field
     for v in der.basis:
         d = Matrix.unflatten(f, a.dim, v)
@@ -184,8 +273,71 @@ def test_fingerprint_invariance_under_permuted_copy():
         table.append(row)
     b = Algebra(f, table, label="N4_33-shuffled")
     assert is_homomorphism(b, a, inv)
-    assert fingerprint(a).first_difference(fingerprint(b)) is None
+    assert fingerprint(a) == fingerprint(b)
+    assert first_difference(a, b) is None
 
+
+def _full_first_difference(fa, fb):
+    """The first field, then the first identity, on which two complete
+    fingerprints differ, or None."""
+    for fld in ("dim", "nilpotent", "chain", "ann_dim", "left_ann_dim",
+                "right_ann_dim", "der_dim"):
+        if getattr(fa, fld) != getattr(fb, fld):
+            return fld
+    for (na, va), (_, vb) in zip(fa.ids, fb.ids):
+        if va != vb:
+            return na
+    return None
+
+
+def _catalog_pairs(seed):
+    """The stored relations, each entry against its relation image, and
+    the distinctness pairs, at one sample of the seed."""
+    pairs = []
+    for rid, exprs, fname in tables.RELATIONS:
+        f = FIELDS[fname]
+        vals = catalog.sample_parameters(rid, 1, seed)[0]
+        pairs.append((catalog.instantiate(rid, vals, f),
+                      catalog.instantiate(rid, catalog._relation_images(
+                          catalog.entry(rid)["params"], exprs, f, vals), f)))
+    for id1, id2 in tables.DISTINCT_PAIRS:
+        pairs.append(tuple(
+            catalog.instantiate(eid, catalog.sample_parameters(eid, 1, seed)[0])
+            for eid in (id1, id2)))
+    return pairs
+
+
+def test_first_difference_matches_full_comparison():
+    """The lazy comparison against complete fingerprints of fresh copies,
+    on the catalog pairs at seeds 0-2 and on seeded F3 tables: pairs of
+    independent tables, and tables against a sparser copy of themselves."""
+    pairs = [p for seed in range(3) for p in _catalog_pairs(seed)]
+    rng = random.Random(41)
+    f3 = FIELDS["F3"]
+    for trial in range(120):
+        n = rng.randrange(2, 5)
+        density = rng.choice((0.2, 0.4, 0.7))
+        upper = trial % 3 != 0
+        table = [[[f3.random(rng) if (k > max(i, j) or not upper)
+                   and rng.random() < density else f3.zero
+                   for k in range(n)] for j in range(n)] for i in range(n)]
+        if trial % 2:
+            other = [[[c if rng.random() < 0.8 else f3.zero for c in vec]
+                      for vec in row] for row in table]
+        else:
+            other = [[[f3.random(rng) if (k > max(i, j) or not upper)
+                       and rng.random() < density else f3.zero
+                       for k in range(n)] for j in range(n)]
+                     for i in range(n)]
+        pairs.append((Algebra(f3, table), Algebra(f3, other)))
+    found = {}
+    for a, b in pairs:
+        want = _full_first_difference(
+            fingerprint(Algebra(a.field, a.table)),
+            fingerprint(Algebra(b.field, b.table)))
+        assert first_difference(a, b) == want, (a.label, b.label)
+        found[want] = found.get(want, 0) + 1
+    assert len(found) >= 10, found
 
 def test_change_field():
     a = catalog.instantiate("CD3_01")
@@ -238,15 +390,15 @@ def _reference_is_cd_by_operators(a, der):
 
 
 def _check_operator_route(a, compare_der=True):
-    """The operator route, which must not build Der(A), against the
-    kernel route; compare_der also checks derivations() against the dense
-    equations."""
+    """The operator route against the kernel route, and der_dim against
+    the dense Der(A); compare_der also checks the kernel of the sparse
+    derivation equations against the dense ones."""
     got = a.is_cd_by_operators()
-    assert "der" not in a._cache
     der = _reference_derivations(a)
     assert got == _reference_is_cd_by_operators(a, der)
+    assert a.der_dim() == der.dim
     if compare_der:
-        assert a.derivations() == der
+        assert _derivations(a) == der
     return got
 
 

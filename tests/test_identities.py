@@ -141,6 +141,17 @@ def _random_nilpotent(rng, f, n):
     return Algebra(f, table, label="rand%d" % n)
 
 
+# Identities with a coefficient of 2 and one of 1/2.
+SCALED = (
+    Identity("double", 3, ((Fraction(2), ((0, 1), 2)),
+                           (Fraction(-1), ((1, 0), 2)),
+                           (Fraction(-1), ((0, 1), 2)))),
+    Identity("half", 3, ((Fraction(1, 2), (0, (1, 2))),
+                         (Fraction(1, 2), (0, (2, 1))),
+                         (Fraction(-1), (0, (1, 2))))),
+)
+
+
 def test_memoised_evaluator_agrees_with_dense_reference():
     rng = random.Random(47)
     algebras = []
@@ -151,22 +162,29 @@ def test_memoised_evaluator_agrees_with_dense_reference():
     f3 = FIELDS["F3"]
     algebras += [_random_nilpotent(rng, f3, rng.randrange(2, 5))
                  for _ in range(12)]
+    # every builtin term has coefficient 1 or -1; these two take the
+    # general path
+    idents = [builtin(nm) for nm in builtin_names()] + list(SCALED)
     held = 0
     for a in algebras:
-        for nm in builtin_names():
-            want = _dense_first_failure(a, builtin(nm))
-            assert first_failure(a, builtin(nm)) == want, (a.label, nm)
-            assert holds(a, builtin(nm)) == (want is None), (a.label, nm)
+        for ident in idents:
+            want = _dense_first_failure(a, ident)
+            assert first_failure(a, ident) == want, (a.label, ident.name)
+            assert holds(a, ident) == (want is None), (a.label, ident.name)
             held += want is None
-    assert 0 < held < len(algebras) * len(builtin_names())
+    assert 0 < held < len(algebras) * len(idents)
     # the eight base instances of the cohomology scope
     bases = [("CD3_01", {}), ("CD3_02", {}), ("CD3_03", {})]
     bases += [("CD3_04", {"lambda": lam}) for lam in (0, -1, 1, 2, 5)]
+    scaled = 0
     for bid, vals in bases:
         a = catalog.instantiate(bid, vals)
-        for nm in CD_NAMES + ALIA_NAMES:
-            assert (induced_cocycle_constraints(a, builtin(nm))
-                    == _dense_constraints(a, builtin(nm))), (bid, vals, nm)
+        for ident in [builtin(nm) for nm in CD_NAMES + ALIA_NAMES] + [
+                s for s in SCALED if holds(a, s)]:
+            assert (induced_cocycle_constraints(a, ident)
+                    == _dense_constraints(a, ident)), (bid, vals, ident.name)
+            scaled += ident in SCALED
+    assert scaled
 
 
 def _random_dense(rng, f, n):

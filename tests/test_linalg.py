@@ -3,7 +3,8 @@ import random
 from nilext import catalog, orbits, tables
 from nilext.exprs import eval_str
 from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
-                           solve_linear, vec_scale, vec_sub, zero_vec)
+                           solve_linear, sparse_rref, vec_scale, vec_sub,
+                           zero_vec)
 from nilext.scalars import FIELDS
 
 
@@ -213,6 +214,27 @@ def test_rref_matches_dense_reference_random():
         f = FIELDS[name]
         for _ in range(12 if name == "QZ12" else 40):
             _assert_rref_matches_reference(_random_sparse_matrix(f, rng))
+
+
+def test_sparse_rref_matches_rref_random():
+    """The pivot rows of the sparse rows, sorted by pivot, are the rref of
+    the dense matrix: same rank, same pivots, same entries."""
+    rng = random.Random(28)
+    ranks = set()
+    for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for _ in range(12 if name == "QZ12" else 40):
+            m = _random_sparse_matrix(f, rng)
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+            pivots = sparse_rref(f, sparse)
+            rows, cols = m.rref()
+            assert len(pivots) == m.rank()
+            assert sorted(pivots) == cols
+            assert [[pivots[c].get(j, f.zero) for j in range(m.ncols)]
+                    for c in cols] == rows
+            assert all(all(pivots[c].values()) for c in cols)
+            ranks.add(len(pivots))
+    assert len(ranks) >= 10
 
 
 def test_rref_matches_dense_reference_on_iso_search(monkeypatch):

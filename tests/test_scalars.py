@@ -1,3 +1,4 @@
+import ast
 import copy
 import os
 import pickle
@@ -12,7 +13,8 @@ from nilext import catalog
 from nilext.exprs import eval_str, field_env
 from nilext.extensions import LineClass, cohomology
 from nilext.orbits import orbit_census_fp
-from nilext.scalars import FIELDS, QQ, QZ12, FpElt, PrimeField, roots_of_unity
+from nilext.scalars import (FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField,
+                            roots_of_unity)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -248,6 +250,55 @@ def test_cyclotomic_relations():
     assert w ** 3 == QZ12.one
     assert w * w + w + QZ12.one == QZ12.zero
     assert i == z ** 3 and w == z ** 4
+
+
+def _reduce_mod_cyclotomic(poly):
+    """Coefficients of a polynomial in z, reduced mod z^4 - z^2 + 1 to
+    degree below 4 by z^d = z^(d-2) - z^(d-4)."""
+    poly = list(poly)
+    for d in range(len(poly) - 1, 3, -1):
+        c, poly[d] = poly[d], 0
+        poly[d - 2] += c
+        poly[d - 4] -= c
+    return tuple(Fraction(c) for c in (poly + [0] * 4)[:4])
+
+
+def test_cyc12_products_match_schoolbook_reduction():
+    """Seeded products, from dense to single-coordinate factors, against
+    the schoolbook product reduced mod z^4 - z^2 + 1; and each Galois
+    automorphism against z -> z^k substituted and reduced the same way."""
+    rng = random.Random(23)
+
+    def draw():
+        density = rng.choice((0.3, 0.7, 1.0))
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                if rng.random() < density else Fraction(0) for _ in range(4)]
+
+    for _ in range(300):
+        x, y = draw(), draw()
+        prod = [0] * 7
+        for i in range(4):
+            for j in range(4):
+                prod[i + j] += x[i] * y[j]
+        assert (Cyc12(x) * Cyc12(y)).coeffs == _reduce_mod_cyclotomic(prod)
+        for k in (1, 5, 7, 11):
+            subst = [0] * 34
+            for j in range(4):
+                subst[j * k] += x[j]
+            assert Cyc12(x).galois(k).coeffs == _reduce_mod_cyclotomic(subst)
+
+
+def test_no_assert_in_src():
+    """python -O strips assert statements, so none may carry a check."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nilext")
+    files = [name for name in sorted(os.listdir(src)) if name.endswith(".py")]
+    found = []
+    for name in files:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert len(files) >= 12 and found == []
 
 
 def test_roots_of_unity():
