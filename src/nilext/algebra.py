@@ -122,6 +122,8 @@ class Algebra:
         powers = [full, self.square()] if self.dim else [full]
         dims = [p.dim for p in powers]
         cap = self.dim * self.dim + 2
+        if self.dim and dims[1] == self.dim:  # A^2 = A, so every term is A
+            return [self.dim] * cap
         while dims[-1] > 0 and len(powers) < cap:
             k = len(powers) + 1
             acc = self.subspace([self.multiply(a, b) for i in range(1, k)
@@ -268,10 +270,6 @@ def is_homomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def is_automorphism(a: Algebra, phi: Matrix) -> bool:
-    return phi.is_invertible() and is_homomorphism(a, a, phi)
 
 
 _FP_IDENTITIES = ("commutative", "anticommutative", "cd1", "cd2", "cd3",

@@ -356,7 +356,7 @@ def build_parser():
     p.set_defaults(run=cmd_iso)
 
     p = sub.add_parser("orbits",
-                       help="automorphism orbits on form lines (F2/F3)")
+                       help="automorphism orbits on form lines (F2/F3/F5/F7)")
     p.add_argument("id")
     common(p)
     p.set_defaults(run=cmd_orbits)

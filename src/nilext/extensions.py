@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from . import identities
 from .algebra import Algebra
 from .exprs import eval_str, field_env
-from .linalg import Matrix, Subspace, complement_reps, kernel_basis, zero_vec
+from .linalg import Matrix, Subspace, complement_reps, zero_vec
 
 
 class BilinearForm:
@@ -227,14 +227,20 @@ class CohomologyBasis:
     def h2_dim(self):
         return len(self.reps)
 
-    def coords_mod_b2(self, theta: BilinearForm):
-        """Coordinates of theta's class on the representative basis."""
+    def coord_rows(self):
+        """The last h2_dim rows of the inverse of [B^2 basis | reps]: row l
+        maps a flattened form to its coordinate on reps[l]; memoised."""
         if not hasattr(self, "_solver"):
             cols = list(self.b2.basis) + [r.flatten() for r in self.reps]
             self._solver = Matrix.from_cols(self.algebra.field,
                                             cols).inverse()
-        all_coords = self._solver.apply(theta.flatten())
-        return all_coords[self.b2.dim:]
+        return self._solver.rows[self.b2.dim:]
+
+    def coords_mod_b2(self, theta: BilinearForm):
+        """Coordinates of theta's class on the representative basis."""
+        flat = theta.flatten()
+        return [sum((c * x for c, x in zip(row, flat) if c and x),
+                    self.algebra.field.zero) for row in self.coord_rows()]
 
     def form_from_coords(self, coords):
         f = self.algebra.field
@@ -304,19 +310,6 @@ def cohomology(a: Algebra, named_reps=None, named_cd_flags=None) -> CohomologyBa
                 for v in complement_reps(full, b2)]
         flags = [False] * len(reps)
     return CohomologyBasis(a, b2, reps, flags, z2cd, named_reps is None, notes)
-
-
-def theta_perp(a: Algebra, thetas) -> Subspace:
-    """Vectors x with theta(x, A) = theta(A, x) = 0 for every given form."""
-    f = a.field
-    rows = []
-    for th in thetas:
-        for j in range(a.dim):
-            rows.append([th.gram.rows[i][j] for i in range(a.dim)])
-            rows.append(list(th.gram.rows[j]))
-    if not rows:
-        return Subspace(f, a.dim, Matrix.identity(f, a.dim).rows)
-    return Subspace(f, a.dim, kernel_basis(Matrix(f, rows)))
 
 
 def radical_meets_annihilator(a: Algebra, thetas) -> bool:

@@ -11,8 +11,10 @@ from operator import mul
 from .algebra import (Algebra, eval_tree, first_difference,
                       generating_scheme, invariant, is_homomorphism)
 from .extensions import (BilinearForm, CohomologyBasis, LineClass,
-                         central_extension, classify_line, cohomology)
-from .linalg import Matrix, Subspace, solve_linear, vec_scale, vec_sub
+                         cd_cocycle_space, central_extension, classify_line,
+                         cohomology)
+from .linalg import (Matrix, Subspace, kernel_basis, solve_linear, vec_scale,
+                     vec_sub, zero_vec)
 from .poly import POLY_RING, MultiPoly
 from .scalars import PrimeField
 
@@ -44,16 +46,6 @@ class AutFamily:
     @property
     def dim(self):
         return len(self.entries)
-
-    def specialize(self, field, env) -> Matrix:
-        for nm in self.nonzero:
-            if not env[nm]:
-                raise ValueError("%s must be nonzero" % nm)
-        rows = [[e.evaluate(field, env) for e in row] for row in self.entries]
-        m = Matrix(field, rows)
-        if not m.is_invertible():
-            raise ValueError("specialized family member is singular")
-        return m
 
     def poly_matrix(self) -> Matrix:
         return Matrix(POLY_RING, [list(r) for r in self.entries])
@@ -208,11 +200,6 @@ def iso_search_fp(a: Algebra, b: Algebra, max_search=300000):
     return next(_homomorphisms(a, b, a.field.elements(), max_search), None)
 
 
-def verify_isomorphism(a: Algebra, b: Algebra, phi: Matrix) -> bool:
-    return (a.dim == b.dim and phi.is_invertible()
-            and is_homomorphism(a, b, phi))
-
-
 @dataclass
 class LineOrbit:
     line_class: LineClass
@@ -239,54 +226,137 @@ class Census:
         return [o for o in self.orbits if o.line_class is line_class]
 
 
+def _projective_points(p, k):
+    """The nonzero int tuples of length k mod p whose first nonzero entry is
+    1, one per line, in increasing order: more leading zeros come first."""
+    return [(0,) * z + (1,) + rest for z in reversed(range(k))
+            for rest in product(range(p), repeat=k - z - 1)]
+
+
+def _line_classifier(a: Algebra, coh: CohomologyBasis):
+    """classify_line on the coordinates t of a line, as int functionals mod p.
+
+    The form of t is theta_t = sum t_i G_i over the representatives' Gram
+    matrices G_i. Its radical meets Ann(A) exactly when, for some projective
+    point u of Ann(A), every functional t -> theta_t(u, e_j) and
+    t -> theta_t(e_j, u) vanishes at t: NOT_IN_T1. Otherwise theta_t lies in
+    Z^2_cd exactly when every functional t -> w . flat(theta_t) vanishes, for
+    w in a basis of the functionals vanishing on Z^2_cd: R1. Every other
+    line is U1. That theta_t is no coboundary is the caller's to check."""
+    f, p, n = a.field, a.field.p, a.dim
+    grams = [[[c.v for c in row] for row in rep.gram.rows] for rep in coh.reps]
+    flats = [[x for row in g for x in row] for g in grams]
+    ann = [[c.v for c in v] for v in a.annihilator("both").basis]
+    radical = []  # per point u of Ann(A): the nonzero functionals above
+    for c in _projective_points(p, len(ann)):
+        u = [sum(map(mul, c, col)) % p for col in zip(*ann)]
+        funcs = set()
+        for j in range(n):
+            funcs.add(tuple(sum(u[m] * g[m][j] for m in range(n)) % p
+                            for g in grams))
+            funcs.add(tuple(sum(g[j][m] * u[m] for m in range(n)) % p
+                            for g in grams))
+        radical.append([fn for fn in funcs if any(fn)])
+    z2cd = cd_cocycle_space(a)
+    cd = None
+    if z2cd is not None:
+        ws = kernel_basis(Matrix(f, z2cd.basis or [zero_vec(f, n * n)]))
+        cd = [[sum(w.v * x for w, x in zip(wv, flat)) % p for flat in flats]
+              for wv in ws]
+
+    def vanish(funcs, t):
+        return not any(sum(map(mul, fn, t)) % p for fn in funcs)
+
+    def classify(t):
+        if any(vanish(funcs, t) for funcs in radical):
+            return LineClass.NOT_IN_T1
+        if cd is not None and vanish(cd, t):
+            return LineClass.R1
+        return LineClass.U1
+
+    return classify
+
+
 def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
                     max_search=300000) -> Census:
     """Partition the projective lines of the form-class space into orbits of
     the automorphism group, over a prime field.
 
     The sweep runs on residues mod p: a line is the int tuple whose first
-    nonzero entry is 1, and each automorphism acts by int rows. Lines run in
-    increasing order, so the first line not yet seen is the least member of
-    its orbit, its rep. The automorphisms form a group, so one sweep over
-    them from the rep reaches the whole orbit; a member's witness is the
-    first automorphism, in aut_group_fp order, that carries the rep's line
-    to the member's. Lines become field elements only in the output.
+    nonzero entry is 1, and each automorphism acts by int rows, the
+    coordinates on the representatives of phi^T G_i phi mod p for each
+    representative's Gram matrix G_i. Lines run in increasing order, so the
+    first line not yet seen is the least member of its orbit, its rep. The
+    automorphisms form a group, so one sweep over them from the rep reaches
+    the whole orbit; a member's witness is the first automorphism, in
+    aut_group_fp order, that carries the rep's line to the member's. Lines
+    become field elements only in the output.
 
-    Only the rep is classified. Aut(A) preserves Ann(A), the coboundaries
-    and the derivation-type cocycles, so the class of a line is a property
-    of its orbit; class_counts adds each orbit's size under its rep's
-    class."""
-    if not (isinstance(a.field, PrimeField) and a.field.p in (2, 3)):
-        raise ValueError("census runs over F2 or F3, not %s" % a.field.name)
+    The representatives are checked once to be a basis mod coboundaries, so
+    no line is a coboundary. Only the rep is classified, by
+    _line_classifier; the first rep of each class is confirmed by
+    classify_line on field elements, at most three calls. Aut(A) preserves
+    Ann(A), the coboundaries and the derivation-type cocycles, so the class
+    of a line is a property of its orbit; class_counts adds each orbit's
+    size under its rep's class."""
+    if not isinstance(a.field, PrimeField):
+        raise ValueError("census runs over a prime field, not %s"
+                         % a.field.name)
     f = a.field
     p = f.p
+    n = a.dim
     if coh is None:
         coh = cohomology(a)
     r = coh.h2_dim
-    lines = [t for t in product(range(p), repeat=r)
-             if next(filter(None, t), 0) == 1]
-    inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
+    try:
+        solve = [[c.v for c in row] for row in coh.coord_rows()]
+    except ValueError:
+        raise RuntimeError("the representatives are not a basis mod "
+                           "coboundaries") from None
+    grams = [[(i, j, g.v) for i, row in enumerate(rep.gram.rows)
+              for j, g in enumerate(row) if g] for rep in coh.reps]
     auts = aut_group_fp(a, max_search=max_search)
-    maps = [list(zip(*[[c.v for c in coh.coords_mod_b2(act(phi, rep))]
-                       for rep in coh.reps])) for phi in auts]
+    maps = []
+    for phi in auts:
+        m = [[c.v for c in row] for row in phi.rows]
+        cols = []
+        for terms in grams:
+            flat = [sum(g * m[i][j] * m[k][l] for i, k, g in terms) % p
+                    for j in range(n) for l in range(n)]
+            cols.append([sum(map(mul, row, flat)) % p for row in solve])
+        maps.append(list(zip(*cols)))
+    classify = _line_classifier(a, coh)
+    # divide[c][k] = k / c mod p: an image divided by its first nonzero entry
+    divide = [None] + [[k * pow(c, -1, p) % p for k in range(p)]
+                       for c in range(1, p)]
+    lines = _projective_points(p, r)
     elts = f.elements()
+    identity = Matrix.identity(f, n)
     seen = set()
+    confirmed = set()
     orbits = []
     counts = {}
     for t in lines:
         if t in seen:
             continue
-        reached = {t: Matrix.identity(f, a.dim)}
+        reached = {t: identity}
         for phi, rows in zip(auts, maps):
             img = [sum(map(mul, row, t)) % p for row in rows]
-            lead = inverse[next(filter(None, img))]
-            reached.setdefault(tuple(lead * c % p for c in img), phi)
+            scaled = divide[next(filter(None, img))]
+            reached.setdefault(tuple(map(scaled.__getitem__, img)), phi)
         if not seen.isdisjoint(reached):
             raise RuntimeError("a line is reached from two representatives")
         seen.update(reached)
-        as_elts = {m: tuple(elts[c] for c in m) for m in sorted(reached)}
+        as_elts = {m: tuple(map(elts.__getitem__, m))
+                   for m in sorted(reached)}
         witnesses = {as_elts[m]: phi for m, phi in reached.items()}
-        cls = classify_line(a, coh.form_from_coords(list(as_elts[t])))
+        cls = classify(t)
+        if cls not in confirmed:
+            confirmed.add(cls)
+            if classify_line(a, coh.form_from_coords(list(as_elts[t]))) \
+                    is not cls:
+                raise RuntimeError("the residue classifier puts %r in %s"
+                                   % (t, cls.value))
         counts[cls.value] = counts.get(cls.value, 0) + len(reached)
         orbits.append(LineOrbit(cls, as_elts[t], list(as_elts.values()),
                                 witnesses))

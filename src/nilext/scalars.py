@@ -433,14 +433,3 @@ FIELDS = {
 
 QQ = FIELDS["Q"]
 QZ12 = FIELDS["QZ12"]
-
-
-def roots_of_unity(field, n: int):
-    """All solutions of x^n = 1 in the field, for n dividing 12."""
-    if n not in (1, 2, 3, 4, 6, 12):
-        raise ValueError("n = %r does not divide 12" % (n,))
-    if isinstance(field, RationalField):
-        return [Fraction(1)] if n % 2 else [Fraction(1), Fraction(-1)]
-    if isinstance(field, CyclotomicField12):
-        return [Cyc12.zpower(12 // n * k) for k in range(n)]
-    return [x for x in field.elements() if x and x ** n == field.one]

@@ -6,11 +6,12 @@ import time
 from nilext import catalog, tables
 from nilext.algebra import is_homomorphism
 from nilext.extensions import (BilinearForm, LineClass, central_extension,
-                               coboundary, cohomology, theta_perp)
+                               coboundary, cohomology)
 from nilext.linalg import Matrix, Subspace, kernel_basis
 from nilext.orbits import (act, extension_of_line, iso_search_fp,
                            orbit_census_fp)
 from nilext.scalars import FIELDS, QQ
+from test_extensions import theta_perp
 
 
 def _verdict(tag, ok, detail):

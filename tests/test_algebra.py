@@ -3,10 +3,14 @@ from itertools import product
 
 from nilext import catalog, tables
 from nilext.algebra import (Algebra, eval_tree, fingerprint, first_difference,
-                            generating_scheme, is_automorphism,
-                            is_homomorphism)
+                            generating_scheme, is_homomorphism)
 from nilext.linalg import Matrix, Subspace, kernel_basis
-from nilext.scalars import FIELDS, QQ, roots_of_unity
+from nilext.scalars import FIELDS, QQ
+from test_scalars import roots_of_unity
+
+
+def is_automorphism(a, phi):
+    return phi.is_invertible() and is_homomorphism(a, a, phi)
 
 
 def test_multiply_bilinear_random():
@@ -138,12 +142,28 @@ def _invariant_samples():
 
 
 def test_power_chain_matches_product_loop():
+    """The invariant samples, and seeded unrestricted F3 and Q tables dense
+    enough that A^2 = A is common; power_chain then returns its
+    dim^2 + 2 terms without multiplying."""
+    rng = random.Random(43)
+    dense = []
+    for name in ("F3", "Q"):
+        f = FIELDS[name]
+        for trial in range(12):
+            n = 2 + trial % 3
+            dense.append(Algebra(f, [[[f.random(rng) if rng.random() < 0.6
+                                       else f.zero for k in range(n)]
+                                      for j in range(n)] for i in range(n)]))
     chains = set()
-    for a in _invariant_samples():
+    square_is_whole = set()
+    for a in _invariant_samples() + dense:
         got = a.power_chain()
         assert got == _reference_power_chain(a), a.label
         chains.add(tuple(got))
+        if a.dim and got[1] == a.dim:
+            square_is_whole.add(a.field.name)
     assert len(chains) >= 10
+    assert square_is_whole >= {"F3", "Q"}
 
 
 def test_sparse_invariants_match_dense_equations():
@@ -420,7 +440,7 @@ def test_operator_route_matches_kernel_route_random():
     outcomes = set()
     for name in ("Q", "F2", "F3", "QZ12"):
         f = FIELDS[name]
-        roots = roots_of_unity(f, 12)
+        roots = roots_of_unity(12)
         draw = ((lambda: rng.choice(roots)) if name == "QZ12"
                 else (lambda: f.random(rng)))
         for trial in range(150):

@@ -164,7 +164,7 @@ def test_iso_stub_rejected(capsys):
 def test_orbits_needs_prime_field(capsys):
     code, out, err = run(capsys, "orbits", "CD3_01")
     assert code == 2
-    assert "F2 or F3" in err
+    assert "prime field" in err
 
 
 def test_orbits_f2(capsys):

@@ -9,12 +9,24 @@ from nilext.extensions import (BilinearForm, LineClass, b2_space,
                                cd_cocycle_space, central_extension,
                                classify_line, coboundary, cohomology,
                                is_split, parse_form,
-                               radical_meets_annihilator, render_form,
-                               theta_perp)
-from nilext.linalg import Subspace
+                               radical_meets_annihilator, render_form)
+from nilext.linalg import Matrix, Subspace, kernel_basis
 from nilext.scalars import FIELDS, QQ
 from test_orbits import (_census_setups, _normalize_line,
                          _random_invertible, _random_nilpotent, _transported)
+
+
+def theta_perp(a, thetas):
+    """Vectors x with theta(x, A) = theta(A, x) = 0 for every given form."""
+    f = a.field
+    rows = []
+    for th in thetas:
+        for j in range(a.dim):
+            rows.append([th.gram.rows[i][j] for i in range(a.dim)])
+            rows.append(list(th.gram.rows[j]))
+    if not rows:
+        return Subspace(f, a.dim, Matrix.identity(f, a.dim).rows)
+    return Subspace(f, a.dim, kernel_basis(Matrix(f, rows)))
 
 
 def _named(bid, vals=None):

@@ -10,15 +10,32 @@ import pytest
 from nilext import catalog, tables
 from nilext.algebra import (Algebra, eval_tree, fingerprint,
                             generating_scheme, invariant, is_homomorphism)
-from nilext.extensions import (BilinearForm, LineClass, classify_line,
-                               cohomology, central_extension)
+from nilext.extensions import (BilinearForm, CohomologyBasis, LineClass,
+                               classify_line, cohomology, central_extension)
 from nilext.linalg import Matrix
 from nilext.orbits import (AutFamily, Census, LineOrbit, ResourceBound,
-                           Verdict, act, aut_group_fp,
-                           extension_of_line, iso_search, iso_search_fp,
-                           orbit_census_fp, verify_isomorphism,
+                           Verdict, _line_classifier, _projective_points,
+                           act, aut_group_fp, extension_of_line, iso_search,
+                           iso_search_fp, orbit_census_fp,
                            verify_transform_table, witness_extension_iso)
 from nilext.scalars import FIELDS, QQ
+
+
+def verify_isomorphism(a, b, phi):
+    return (a.dim == b.dim and phi.is_invertible()
+            and is_homomorphism(a, b, phi))
+
+
+def specialize(family, field, env):
+    """The member of an automorphism family at the given variable values."""
+    for nm in family.nonzero:
+        if not env[nm]:
+            raise ValueError("%s must be nonzero" % nm)
+    m = Matrix(field, [[e.evaluate(field, env) for e in row]
+                       for row in family.entries])
+    if not m.is_invertible():
+        raise ValueError("specialized family member is singular")
+    return m
 
 
 def _random_invertible(f, rng, n):
@@ -58,8 +75,10 @@ def test_aut_family_specialize():
                                  setup["rows"])
     a = catalog.instantiate("CD3_01")
     env = {"x": QQ.from_int(2), "y": QQ.from_int(5)}
-    phi = fam.specialize(QQ, env)
+    phi = specialize(fam, QQ, env)
     assert is_homomorphism(a, a, phi)
+    with pytest.raises(ValueError, match="x must be nonzero"):
+        specialize(fam, QQ, {"x": QQ.zero, "y": QQ.from_int(5)})
 
 
 def test_transform_tables_symbolic():
@@ -444,7 +463,18 @@ def _census_setups():
     return setups
 
 
-def test_census_classifies_each_orbit_once(monkeypatch):
+def _f5_setups():
+    """CD3_01 and CD3_03 over F5 in their stored bases."""
+    f5 = FIELDS["F5"]
+    return [(bid, catalog.instantiate(bid, {}, f5),
+             catalog.named_forms(bid, f5, {})) for bid in ("CD3_01", "CD3_03")]
+
+
+def test_residue_classifier_matches_classify_line(monkeypatch):
+    """Every line of every census setup and of the F5 setups, classified on
+    residues and by classify_line on field elements. The census itself
+    calls classify_line once per class it finds, to confirm that class's
+    first representative."""
     import nilext.orbits
     calls = []
 
@@ -453,13 +483,56 @@ def test_census_classifies_each_orbit_once(monkeypatch):
         return classify_line(a, theta)
 
     monkeypatch.setattr(nilext.orbits, "classify_line", counted)
-    setups = _census_setups()
-    for bid, a, forms in (setups[0],
-                          next(s for s in setups if s[1].field.p == 3)):
+    seen = set()
+    for bid, a, forms in _census_setups() + _f5_setups():
+        coh = cohomology(a, forms, catalog.cd_flags(bid))
+        classify = _line_classifier(a, coh)
+        elts = a.field.elements()
+        for t in _projective_points(a.field.p, coh.h2_dim):
+            cls = classify(t)
+            theta = coh.form_from_coords([elts[c] for c in t])
+            assert cls is classify_line(a, theta), (bid, t)
+            seen.add(cls)
         calls.clear()
+        census = orbit_census_fp(a, coh)
+        assert len(calls) == len({o.line_class for o in census.orbits}), bid
+    assert seen == set(LineClass)
+
+
+def test_census_needs_representatives_independent_mod_coboundaries():
+    bid, a, forms = _census_setups()[0]
+    coh = cohomology(a, forms, catalog.cd_flags(bid))
+    cobound = BilinearForm.from_flat(a.field, a.dim, coh.b2.basis[0])
+    for reps in ([cobound] + coh.reps[1:], coh.reps[1:]):
+        bad = CohomologyBasis(a, coh.b2, reps, coh.cd_flags[:len(reps)],
+                              coh.cd_space, False)
+        with pytest.raises(RuntimeError, match="not a basis mod coboundaries"):
+            orbit_census_fp(a, bad)
+
+
+def test_census_f5_orbit_count_is_burnside_average():
+    """The number of orbits is the average over Aut(A) of the lines each
+    automorphism fixes: sum over lambda != 0 of (p^d - 1)/(p - 1), with d
+    the dimension of the lambda-eigenspace of its line map, built here on
+    field elements."""
+    counts = []
+    for bid, a, forms in _f5_setups():
+        f, p = a.field, a.field.p
         coh = cohomology(a, forms, catalog.cd_flags(bid))
         census = orbit_census_fp(a, coh)
-        assert len(calls) == len(census.orbits), bid
+        fixed = 0
+        for phi in aut_group_fp(a):
+            m = Matrix.from_cols(f, [coh.coords_mod_b2(act(phi, rep))
+                                     for rep in coh.reps])
+            for lam in f.elements()[1:]:
+                d = coh.h2_dim - (m - Matrix.identity(f, coh.h2_dim).scale(
+                    lam)).rank()
+                fixed += (p ** d - 1) // (p - 1)
+        assert fixed % census.aut_count == 0, bid
+        assert len(census.orbits) == fixed // census.aut_count, bid
+        assert census.lines_total == (p ** coh.h2_dim - 1) // (p - 1)
+        counts.append(len(census.orbits))
+    assert counts == [1064, 269]
 
 
 def test_iso_search_prunes_by_rank_mod_square(monkeypatch):
