@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import identities
-from .linalg import Matrix, Subspace, kernel_basis, sparse_rref, zero_vec
+from .linalg import (Matrix, Subspace, echelon_mod_p, kernel_basis,
+                     projective_points, reduce_mod_p, sparse_rref, zero_vec)
 
 
 class Algebra:
@@ -305,6 +306,55 @@ def first_difference(a: Algebra, b: Algebra):
         if invariant(a, name) != invariant(b, name):
             return name
     return None
+
+
+def element_profile(a: Algebra):
+    """Over a prime field: dim Ann(A), and how many projective points x of
+    a complement of Ann(A) have each type (x^2 = 0, x in A^2 + Ann(A),
+    dim xA, dim Ax), as sorted (type, count) pairs; memoised in a._cache.
+    The complement is spanned by the e_c whose column c is not a pivot of
+    Ann(A)'s basis, and the counts run on ints mod p.
+
+    A type depends only on x mod Ann(A), and scaling x keeps it. An
+    isomorphism A -> B maps Ann(A) onto Ann(B) and A^2 onto B^2, so it
+    maps the points of A/Ann(A) onto those of B/Ann(B), keeping each type:
+    isomorphic algebras have equal profiles."""
+    if "element_profile" in a._cache:
+        return a._cache["element_profile"]
+    p, n = a.field.p, a.dim
+    ann = a.annihilator("both")
+    free = [c for c in range(n) if c not in ann.pivots]
+    span = echelon_mod_p([[c.v for c in v]
+                          for v in a.square().basis + ann.basis], p)
+    left = {c: [] for c in free}  # c -> (j, k, (e_c e_j)_k) over nonzeros
+    right = {c: [] for c in free}  # c -> (j, k, (e_j e_c)_k) over nonzeros
+    for (i, j), terms in a._nonzero.items():
+        for k, s in terms:
+            if i in left:
+                left[i].append((j, k, s.v))
+            if j in right:
+                right[j].append((i, k, s.v))
+    counts = {}
+    for t in projective_points(p, len(free)):
+        x = [0] * n
+        for c, tc in zip(free, t):
+            x[c] = tc
+        sq = [0] * n  # x^2
+        xa = {}  # j -> x e_j, over the j that some term reaches
+        ax = {}  # j -> e_j x, likewise
+        for c, tc in zip(free, t):
+            if tc:
+                for j, k, s in left[c]:
+                    xa.setdefault(j, [0] * n)[k] += tc * s
+                    sq[k] += tc * s * x[j]
+                for j, k, s in right[c]:
+                    ax.setdefault(j, [0] * n)[k] += tc * s
+        kind = (not any(v % p for v in sq), not any(reduce_mod_p(span, x, p)),
+                len(echelon_mod_p(xa.values(), p)),
+                len(echelon_mod_p(ax.values(), p)))
+        counts[kind] = counts.get(kind, 0) + 1
+    a._cache["element_profile"] = ann.dim, tuple(sorted(counts.items()))
+    return a._cache["element_profile"]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ representations are equal.
 
 from __future__ import annotations
 
+from itertools import product
+
 
 def zero_vec(field, n):
     return [field.zero] * n
@@ -239,6 +241,38 @@ def sparse_rref(field, rows):
                 subtract(prow, prow[p], row)
         pivots[p] = row
     return pivots
+
+
+def projective_points(p, k):
+    """The nonzero int tuples of length k mod p whose first nonzero entry is
+    1, one per line, in increasing order: more leading zeros come first."""
+    return [(0,) * z + (1,) + rest for z in reversed(range(k))
+            for rest in product(range(p), repeat=k - z - 1)]
+
+
+def echelon_mod_p(rows, p):
+    """Int rows mod p in echelon form, as (pivot, row) pairs with row 1 at
+    its pivot and 0 at the pivots before it; their number is the rank."""
+    basis = []
+    for v in rows:
+        v = reduce_mod_p(basis, v, p)
+        for lead, x in enumerate(v):
+            if x:
+                inv = pow(x, -1, p)
+                basis.append((lead, [y * inv % p for y in v]))
+                break
+    return basis
+
+
+def reduce_mod_p(basis, v, p):
+    """The int vector v mod p less its part along an echelon_mod_p basis:
+    zero exactly when v lies in the span."""
+    v = [x % p for x in v]
+    for lead, row in basis:
+        c = v[lead]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    return v
 
 
 def solve_linear(m: Matrix, b):

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import mul
 
-from .algebra import (Algebra, eval_tree, first_difference,
+from .algebra import (Algebra, element_profile, eval_tree, first_difference,
                       generating_scheme, invariant, is_homomorphism)
 from .extensions import (BilinearForm, CohomologyBasis, LineClass,
                          cd_cocycle_space, central_extension, classify_line,
                          cohomology)
-from .linalg import (Matrix, Subspace, kernel_basis, solve_linear, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, kernel_basis, projective_points,
+                     solve_linear, vec_scale, vec_sub, zero_vec)
 from .poly import POLY_RING, MultiPoly
 from .scalars import PrimeField
 
@@ -102,7 +102,13 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     it is full, once the last coordinate B's functionals vanishing on B^2
     involve is bound, except at a leaf, where the rank test decides
     invertibility. A pruned subtree holds no invertible homomorphism, so
-    the order is unchanged."""
+    the order is unchanged.
+
+    Over a prime field, two different algebras are not searched when their
+    element_profile values differ. An isomorphism maps Ann(A) onto Ann(B)
+    and A^2 onto B^2, and x^2, xA and Ax onto their images' counterparts,
+    so it carries each projective point of A/Ann(A) to one of B/Ann(B) of
+    the same type: unequal profiles mean that no map exists."""
     n = a.dim
     num_gens, steps, values, inv, coords = generating_scheme(a)
     width = n * num_gens
@@ -113,6 +119,9 @@ def _homomorphisms(a: Algebra, b: Algebra, domain, max_search):
     f = a.field
     funcs_a, funcs_b = a.square_functionals(), b.square_functionals()
     if len(funcs_a) != len(funcs_b):
+        return iter(())
+    if a is not b and isinstance(f, PrimeField) \
+            and element_profile(a) != element_profile(b):
         return iter(())
 
     def rank(funcs, vecs):  # rank of vecs mod the square funcs vanish on
@@ -226,13 +235,6 @@ class Census:
         return [o for o in self.orbits if o.line_class is line_class]
 
 
-def _projective_points(p, k):
-    """The nonzero int tuples of length k mod p whose first nonzero entry is
-    1, one per line, in increasing order: more leading zeros come first."""
-    return [(0,) * z + (1,) + rest for z in reversed(range(k))
-            for rest in product(range(p), repeat=k - z - 1)]
-
-
 def _line_classifier(a: Algebra, coh: CohomologyBasis):
     """classify_line on the coordinates t of a line, as int functionals mod p.
 
@@ -248,7 +250,7 @@ def _line_classifier(a: Algebra, coh: CohomologyBasis):
     flats = [[x for row in g for x in row] for g in grams]
     ann = [[c.v for c in v] for v in a.annihilator("both").basis]
     radical = []  # per point u of Ann(A): the nonzero functionals above
-    for c in _projective_points(p, len(ann)):
+    for c in projective_points(p, len(ann)):
         u = [sum(map(mul, c, col)) % p for col in zip(*ann)]
         funcs = set()
         for j in range(n):
@@ -329,7 +331,7 @@ def orbit_census_fp(a: Algebra, coh: CohomologyBasis = None,
     # divide[c][k] = k / c mod p: an image divided by its first nonzero entry
     divide = [None] + [[k * pow(c, -1, p) % p for k in range(p)]
                        for c in range(1, p)]
-    lines = _projective_points(p, r)
+    lines = projective_points(p, r)
     elts = f.elements()
     identity = Matrix.identity(f, n)
     seen = set()

@@ -1,7 +1,6 @@
 import random
 
 from nilext import catalog, orbits, tables
-from nilext.exprs import eval_str
 from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
                            solve_linear, sparse_rref, vec_scale, vec_sub,
                            zero_vec)
@@ -238,7 +237,7 @@ def test_sparse_rref_matches_rref_random():
 
 
 def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
-    """Every matrix that iso_search queries on two relations and on a
+    """Every matrix that iso_search queries on the seven relations and on a
     fingerprint-equal distinctness pair hand to rref."""
     seen = []
     rref = Matrix.rref
@@ -247,20 +246,24 @@ def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
         seen.append(Matrix(m.field, m.rows))
         return rref(m)
     monkeypatch.setattr(Matrix, "rref", recording)
-    f = FIELDS["Q"]
-    grid = [f.one, -f.one, f.zero]
-    for rid, images, _ in tables.RELATIONS[:2]:
+    for rid, images, fname in tables.RELATIONS:
+        f = FIELDS[fname]
+        grid = ([f.one, f.omega, f.omega * f.omega, f.zero]
+                if hasattr(f, "omega") else [f.one, -f.one, f.zero])
         vals = catalog.sample_parameters(rid, 1, 3)[0]
-        moved = {nm: eval_str(src, f, vals)
-                 for nm, src in zip(tables.N4[rid]["params"], images)}
-        v = orbits.iso_search(catalog.instantiate(rid, vals),
-                              catalog.instantiate(rid, moved), grid=grid,
+        moved = catalog._relation_images(tables.N4[rid]["params"], images,
+                                         f, vals)
+        v = orbits.iso_search(catalog.instantiate(rid, vals, f),
+                              catalog.instantiate(rid, moved, f), grid=grid,
                               primes=())
         assert v.kind == "witness"
+    f = FIELDS["Q"]
     a, b = (catalog.instantiate(eid, catalog.sample_parameters(eid, 1, 3)[0])
             for eid in ("N4_13", "N4_14"))
-    assert orbits.iso_search(a, b, grid=grid, primes=(2,)).kind == "undecided"
+    assert orbits.iso_search(a, b, grid=[f.one, -f.one, f.zero],
+                             primes=(2,)).kind == "undecided"
     monkeypatch.undo()
-    assert len({m.field.name for m in seen}) == 2 and len(seen) > 100
+    assert ({m.field.name for m in seen} == {"Q", "QZ12", "F2"}
+            and len(seen) > 100)
     for m in seen:
         _assert_rref_matches_reference(m)

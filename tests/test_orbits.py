@@ -8,13 +8,13 @@ from itertools import product
 import pytest
 
 from nilext import catalog, tables
-from nilext.algebra import (Algebra, eval_tree, fingerprint,
+from nilext.algebra import (Algebra, element_profile, eval_tree, fingerprint,
                             generating_scheme, invariant, is_homomorphism)
 from nilext.extensions import (BilinearForm, CohomologyBasis, LineClass,
                                classify_line, cohomology, central_extension)
-from nilext.linalg import Matrix
+from nilext.linalg import Matrix, projective_points
 from nilext.orbits import (AutFamily, Census, LineOrbit, ResourceBound,
-                           Verdict, _line_classifier, _projective_points,
+                           Verdict, _line_classifier,
                            act, aut_group_fp, extension_of_line, iso_search,
                            iso_search_fp, orbit_census_fp,
                            verify_transform_table, witness_extension_iso)
@@ -296,6 +296,46 @@ def test_pruned_search_matches_product_loop_over_fp():
                      "generator redundant mod A^2", "dim A/A^2 != dim B/B^2"}
 
 
+def _perturbed(a, rng):
+    """a with one structure constant replaced by a random element."""
+    f, n = a.field, a.dim
+    table = [[list(vec) for vec in row] for row in a.table]
+    table[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = f.random(rng)
+    return Algebra(f, table)
+
+
+def test_element_profile_is_invariant_and_proves_distinctness():
+    """Nilpotent tables and tables that are not, over F2, F3 and F5 in
+    dimensions 2-5: a random change of basis keeps the profile, and two
+    profiles differ only when the exhaustive product loop finds no
+    isomorphism between the tables. The targets are unrelated tables and
+    tables one structure constant away from a change of basis, and among
+    them both equal and unequal profiles occur."""
+    rng = random.Random(66)
+    outcomes = set()
+    searched = 0
+    for p in (2, 3, 5):
+        f = FIELDS["F%d" % p]
+        for trial in range(32):
+            n = 2 + trial % 4
+            make = [lambda: _random_nilpotent(f, rng, n, 0.5),
+                    lambda: _random_table(f, rng, n, 0.3)][trial // 4 % 2]
+            a = make()
+            profile = element_profile(a)
+            moved = _transported(a, _random_invertible(f, rng, n))
+            assert element_profile(moved) == profile
+            small = p ** (n * generating_scheme(a)[0]) <= 729
+            for b in (make(), _perturbed(moved, rng)):
+                differ = element_profile(b) != profile
+                outcomes.add(differ)
+                if small:
+                    searched += 1
+                    ref = next(_reference_homomorphisms(a, b, f.elements()),
+                               None)
+                    assert not (differ and ref is not None)
+    assert outcomes == {False, True} and searched > 90
+
+
 def test_pruned_search_matches_product_loop_on_catalog_pairs():
     pairs = []
     for rid, exprs, fname in tables.RELATIONS:
@@ -364,6 +404,30 @@ def test_search_bound_counts_candidates():
     with pytest.raises(ResourceBound, match="^isomorphism search needs"):
         iso_search_fp(a, b, max_search=total - 1)
     assert len(aut_group_fp(a, max_search=total)) > 0
+
+
+def test_search_bound_precedes_element_profile():
+    """A pair above the bound raises the same ResourceBound whether or not
+    its element profiles differ."""
+    f3 = FIELDS["F3"]
+    a = catalog.instantiate("CD3_02", field=f3)
+    total = 3 ** (3 * generating_scheme(a)[0])
+    message = "^isomorphism search needs %d candidates, bound is %d$" % (
+        total, total - 1)
+    same = catalog.instantiate("CD3_02", field=f3)
+    other = catalog.instantiate("CD3_01", field=f3)
+    assert element_profile(a) == element_profile(same)
+    assert element_profile(a) != element_profile(other)
+    for b in (same, other):
+        with pytest.raises(ResourceBound, match=message):
+            iso_search_fp(a, b, max_search=total - 1)
+
+
+def test_automorphisms_and_census_compute_no_element_profile():
+    bid, a, forms = _census_setups()[0]
+    aut_group_fp(a)
+    orbit_census_fp(a, cohomology(a, forms, catalog.cd_flags(bid)))
+    assert "element_profile" not in a._cache
 
 
 def _normalize_line(f, coords):
@@ -488,7 +552,7 @@ def test_residue_classifier_matches_classify_line(monkeypatch):
         coh = cohomology(a, forms, catalog.cd_flags(bid))
         classify = _line_classifier(a, coh)
         elts = a.field.elements()
-        for t in _projective_points(a.field.p, coh.h2_dim):
+        for t in projective_points(a.field.p, coh.h2_dim):
             cls = classify(t)
             theta = coh.form_from_coords([elts[c] for c in t])
             assert cls is classify_line(a, theta), (bid, t)
@@ -537,8 +601,11 @@ def test_census_f5_orbit_count_is_burnside_average():
 
 def test_iso_search_prunes_by_rank_mod_square(monkeypatch):
     """The searches between every two U1 orbit representatives' extensions
-    of AC7's CD3_01 setup over F2 evaluate the scheme 7,658 times. Without
-    the pruning by rank mod the square they took 56,770 evaluations."""
+    of AC7's CD3_01 setup over F2 evaluate the scheme 509 times, all of
+    them on the 176 ordered pairs with equal element profiles (the 68 pairs
+    of an algebra with itself among them). Without the element profile the
+    4,624 searches took 7,658 evaluations; without the pruning by rank mod
+    the square as well, 56,770."""
     import nilext.orbits
     calls = []
 
@@ -555,7 +622,13 @@ def test_iso_search_prunes_by_rank_mod_square(monkeypatch):
              for x in exts for y in exts]
     assert len(exts) == 68
     assert all(same == iso for same, iso in found)
-    assert len(calls) == 7658
+    assert len(calls) == 509
+    calls.clear()
+    equal = [(x, y) for x in exts for y in exts
+             if element_profile(x) == element_profile(y)]
+    assert all((iso_search_fp(x, y) is not None) == (x is y)
+               for x, y in equal)
+    assert len(equal) == 176 and len(calls) == 509
 
 
 def test_iso_search_compares_fingerprints_lazily(monkeypatch):

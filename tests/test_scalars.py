@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from nilext import catalog
+from nilext.algebra import element_profile
 from nilext.exprs import eval_str, field_env
 from nilext.extensions import LineClass, cohomology
-from nilext.orbits import orbit_census_fp
+from nilext.orbits import extension_of_line, iso_search_fp, orbit_census_fp
 from nilext.scalars import FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField
 
 PRIMES = (2, 3, 5, 7)
@@ -132,7 +133,7 @@ from nilext.orbits import (AutFamily, _to_prime_field, iso_search,
                            verify_transform_table)
 from nilext.poly import MultiPoly
 from nilext.scalars import QQ, QZ12, FpElt, PrimeField
-from test_scalars import _census_f2_f3_f5
+from test_scalars import _census_f2_f3_f5, _f2_search_pairs
 
 def raises(exc, fn, *args):
     try:
@@ -218,6 +219,9 @@ for bid, base, forms in _census_f2_f3_f5():
                                               catalog.cd_flags(bid)))
     print(sorted(census.class_counts.items()),
           len(census.orbits_of(LineClass.U1)))
+for x, y in _f2_search_pairs():
+    w = iso_search_fp(x, y)
+    print(None if w is None else [[c.v for c in row] for row in w.rows])
 print("ok")
 """
     here = os.path.dirname(os.path.abspath(__file__))
@@ -235,6 +239,12 @@ print("ok")
         want.append("%s %d" % (sorted(census.class_counts.items()),
                                len(census.orbits_of(LineClass.U1))))
     assert want[0].endswith(" 68")
+    (x, y), witnessed = _f2_search_pairs()
+    assert element_profile(x) != element_profile(y)
+    for w in (iso_search_fp(x, y), iso_search_fp(*witnessed)):
+        want.append(str(None if w is None
+                        else [[c.v for c in row] for row in w.rows]))
+    assert want[-2] == "None" and want[-1] != "None"
     assert lines[:-1] == want
 
 
@@ -247,6 +257,19 @@ def _census_f2_f3_f5():
     return [setups[0], next(s for s in setups if s[1].field.p == 3),
             ("CD3_03", catalog.instantiate("CD3_03", {}, f5),
              catalog.named_forms("CD3_03", f5, {}))]
+
+
+def _f2_search_pairs():
+    """Two pairs of extensions of CD3_01 over F2 by U1 lines: the first two
+    orbit representatives, whose element profiles differ, and the first
+    representative whose orbit has another member, with that member."""
+    bid, a, forms = _census_f2_f3_f5()[0]
+    coh = cohomology(a, forms, catalog.cd_flags(bid))
+    u1 = orbit_census_fp(a, coh).orbits_of(LineClass.U1)
+    o = next(o for o in u1 if o.size > 1)
+    member = next(m for m in o.members if m != o.rep)
+    return [tuple(extension_of_line(a, coh, list(t)) for t in pair)
+            for pair in ((u1[0].rep, u1[1].rep), (o.rep, member))]
 
 
 def test_cyclotomic_relations():
