@@ -74,12 +74,16 @@ def _label(entry_id, e, conv, field):
 def instantiate(entry_id: str, values=None, field=QQ) -> Algebra:
     """Evaluate a catalog entry's table at given parameter values."""
     e = entry(entry_id)
-    conv, env = _converted(e, values, field)
     n = e["dim"]
     table = [[zero_vec(field, n) for _ in range(n)] for _ in range(n)]
-    for i, j, src, k in e["products"]:
-        c = eval_str(src, field, env)
-        table[i - 1][j - 1][k - 1] = table[i - 1][j - 1][k - 1] + c
+    try:  # a coefficient or an excluded value with p in a denominator
+        conv, env = _converted(e, values, field)
+        for i, j, src, k in e["products"]:
+            c = eval_str(src, field, env)
+            table[i - 1][j - 1][k - 1] = table[i - 1][j - 1][k - 1] + c
+    except ZeroDivisionError as exc:
+        raise ValueError("%s has no value over %s: %s"
+                         % (entry_id, field.name, exc)) from None
     return Algebra(field, table, label=_label(entry_id, e, conv, field),
                    params=conv)
 

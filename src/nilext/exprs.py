@@ -5,7 +5,8 @@ formulas and values typed at the command line are parsed here and evaluated
 by ``eval_field`` over a field, or over POLY_RING with each name bound to its
 own variable (``poly_str``). Operators: + - * / ^ and parentheses; names are
 unicode identifiers (common greek letters are folded to their spelled-out
-form).
+form). A call ``name(i, j)`` of integer literals evaluates to
+``env[name](i, j)``, as the D(i,j) and N(k) atoms of form literals do.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _tokens(s: str):
         ch = s[i]
         if ch.isspace():
             i += 1
-        elif ch in "+-*/^()":
+        elif ch in "+-*/^(),":
             out.append(ch)
             i += 1
         elif ch.isdigit():
@@ -85,13 +86,12 @@ class _Parser:
         node = self.atom()
         if self.peek() == "^":
             self.take()
-            sign = 1
             if self.peek() == "-":
                 raise ValueError("negative exponents are not supported")
             e = self.take()
             if not isinstance(e, int):
                 raise ValueError("exponent must be an integer literal")
-            node = ("pow", node, sign * e)
+            node = ("pow", node, e)
         return node
 
     def atom(self):
@@ -103,8 +103,16 @@ class _Parser:
             return node
         if isinstance(t, int):
             return ("num", Fraction(t))
-        if isinstance(t, str) and t not in "+-*/^()":
-            return ("var", t)
+        if isinstance(t, str) and t not in "+-*/^(),":
+            if self.peek() != "(":
+                return ("var", t)
+            args, sep = [], self.take()
+            while sep in ("(", ","):
+                args.append(self.take())
+                sep = self.take()
+            if sep != ")" or not all(isinstance(x, int) for x in args):
+                raise ValueError("%s(...) takes integer literals" % t)
+            return ("call", t, tuple(args))
         raise ValueError("unexpected token %r" % (t,))
 
 
@@ -118,13 +126,11 @@ def parse(s: str):
 
 def variables(ast) -> set:
     kind = ast[0]
-    if kind == "num":
+    if kind in ("num", "call"):
         return set()
     if kind == "var":
         return {ast[1]}
-    if kind in ("neg",):
-        return variables(ast[1])
-    if kind == "pow":
+    if kind in ("neg", "pow"):
         return variables(ast[1])
     return variables(ast[1]) | variables(ast[2])
 
@@ -135,10 +141,10 @@ def eval_field(ast, field, env):
     kind = ast[0]
     if kind == "num":
         return field.from_fraction(ast[1])
-    if kind == "var":
+    if kind in ("var", "call"):
         if ast[1] not in env:
             raise KeyError("unbound variable %r" % ast[1])
-        return env[ast[1]]
+        return env[ast[1]] if kind == "var" else env[ast[1]](*ast[2])
     if kind == "neg":
         return -eval_field(ast[1], field, env)
     if kind == "pow":

@@ -8,7 +8,6 @@ the space whose lines parametrize one-dimensional extensions.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field as dc_field
 
 from . import identities
@@ -64,13 +63,22 @@ class BilinearForm:
         return not any(self.flatten())
 
     def __add__(self, other):
+        if not isinstance(other, BilinearForm):
+            return NotImplemented
         return BilinearForm(self.field, self.gram + other.gram)
 
     def __sub__(self, other):
+        if not isinstance(other, BilinearForm):
+            return NotImplemented
         return BilinearForm(self.field, self.gram - other.gram)
+
+    def __neg__(self):
+        return self.scale(-self.field.one)
 
     def scale(self, c):
         return BilinearForm(self.field, self.gram.scale(c))
+
+    __rmul__ = scale
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.gram == other.gram
@@ -107,70 +115,42 @@ def render_form(theta: BilinearForm) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-_ATOM_RE = re.compile(r"^(?:(.+)\*)?([DN])\((\d+)(?:,(\d+))?\)$")
-
-
 def parse_form(text: str, dim: int, field, named=None, env=None) -> BilinearForm:
-    """Parse 'a*D(i,j)+b*N(k)' literals (1-based indices).
+    """Parse a form literal such as '2*N(1)-(lambda-2)*D(1,3)'.
 
-    D(i,j) is the unit form at a basis pair; N(k) is the k-th named form of
-    the supplied dictionary, required when N appears.
+    The literal is an ``exprs`` expression over the field whose atoms
+    include D(i,j), the unit form at a basis pair, and N(k), the k-th form
+    of the supplied named dictionary (1-based indices). Forms may be added,
+    subtracted, negated and multiplied on the left by scalars; the bare
+    scalar 0 is the zero form.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty form literal")
-    if s == "0":
+    if text.strip() == "0":
         return BilinearForm.zero(field, dim)
-    terms = []
-    cur = ""
-    depth = 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and k > 0 and s[k - 1] not in "+-*/^(":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    full_env = field_env(field)
-    if env:
-        full_env.update(env)
-    total = BilinearForm.zero(field, dim)
-    for t in terms:
-        sign = field.one
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:]
-        m = _ATOM_RE.match(t)
-        if m is None:
-            raise ValueError("bad form term %r" % t)
-        coeff_src, kind, a, b = m.groups()
-        if coeff_src is None:
-            coeff = field.one
-        else:
-            coeff = eval_str(coeff_src, field, full_env)
-        if kind == "D":
-            if b is None:
-                raise ValueError("D needs two indices in %r" % t)
-            i, j = int(a), int(b)
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ValueError("index out of range in %r" % t)
-            atom = BilinearForm.unit(field, dim, i - 1, j - 1)
-        else:
-            if b is not None:
-                raise ValueError("N takes one index in %r" % t)
-            k = int(a)
-            if named is None:
-                raise ValueError("N(%d) used but no named forms supplied" % k)
-            if not (1 <= k <= len(named)):
-                raise ValueError("N index out of range in %r" % t)
-            atom = named[k - 1]
-        total = total + atom.scale(sign * coeff)
-    return total
+
+    def unit(*ij):
+        if len(ij) != 2 or not all(1 <= k <= dim for k in ij):
+            raise ValueError("D(%s) needs two indices from 1 to %d"
+                             % (",".join(map(str, ij)), dim))
+        return BilinearForm.unit(field, dim, ij[0] - 1, ij[1] - 1)
+
+    def named_form(*k):
+        atom = "N(%s)" % ",".join(map(str, k))
+        if named is None:
+            raise ValueError(atom + " used but no named forms supplied")
+        if len(k) != 1 or not 1 <= k[0] <= len(named):
+            raise ValueError("%s needs one index from 1 to %d"
+                             % (atom, len(named)))
+        return named[k[0] - 1]
+
+    full_env = {**field_env(field), **(env or {}), "D": unit, "N": named_form}
+    try:
+        form = eval_str(text, field, full_env)
+    except TypeError:
+        form = None
+    if not isinstance(form, BilinearForm):
+        raise ValueError("%r is not a sum of scalar multiples of D and N "
+                         "forms" % text)
+    return form
 
 
 def coboundary(a: Algebra, functional) -> BilinearForm:
@@ -204,12 +184,8 @@ def cd_cocycle_space(a: Algebra):
         if not a.is_cd_by_identities():
             a._cache["z2cd"] = None
         else:
-            space = identities.induced_cocycle_constraints(
-                a, identities.builtin("cd1"))
-            for nm in ("cd2", "cd3"):
-                space = space.intersect(
-                    identities.induced_cocycle_constraints(a, identities.builtin(nm)))
-            a._cache["z2cd"] = space
+            a._cache["z2cd"] = identities.induced_cocycle_constraints(
+                a, *map(identities.builtin, identities.CD_NAMES))
     return a._cache["z2cd"]
 
 

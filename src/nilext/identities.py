@@ -132,33 +132,37 @@ def holds(algebra, ident: Identity) -> bool:
     return first_failure(algebra, ident) is None
 
 
-def induced_cocycle_constraints(algebra, ident: Identity) -> Subspace:
+def induced_cocycle_constraints(algebra, *idents) -> Subspace:
     """Bilinear forms theta for which the one-dimensional extension by theta
-    still satisfies the identity.
+    still satisfies every given identity.
 
     The extension's product discards the added coordinate, so inner products
     evaluate in the base algebra and only the outermost product of each word
     contributes a theta term: the coefficient of theta(e_i, e_j) at a basis
     tuple is the sum over terms of the coefficient times the i-th entry of
-    the left factor and the j-th of the right. Raises ValueError when the
-    base algebra itself fails the identity.
+    the left factor and the j-th of the right. The rows of all identities
+    are stacked under one kernel. Raises ValueError when the base algebra
+    itself fails one of the identities.
     """
-    if not (algebra.satisfies(ident.name) if _BUILTINS.get(ident.name) is ident
-            else holds(algebra, ident)):
-        raise ValueError("base algebra fails %s" % ident.name)
     f = algebra.field
     n = algebra.dim
-    acc = {}
-    for c, w in ident.terms:
-        sub, cf = _factor(f, c)
-        for tup, (xu, xv) in _entries(algebra, w):
-            row = acc.setdefault(tup, {})
-            for i, x in xu.items():
-                cx = cf * x if cf is not None else -x if sub else x
-                for j, y in xv.items():
-                    row[i * n + j] = row.get(i * n + j, f.zero) + cx * y
-    rows = [[acc[tup].get(ij, f.zero) for ij in range(n * n)]
-            for tup in sorted(acc) if any(acc[tup].values())]
+    rows = []
+    for ident in idents:
+        if not (algebra.satisfies(ident.name)
+                if _BUILTINS.get(ident.name) is ident
+                else holds(algebra, ident)):
+            raise ValueError("base algebra fails %s" % ident.name)
+        acc = {}
+        for c, w in ident.terms:
+            sub, cf = _factor(f, c)
+            for tup, (xu, xv) in _entries(algebra, w):
+                row = acc.setdefault(tup, {})
+                for i, x in xu.items():
+                    cx = cf * x if cf is not None else -x if sub else x
+                    for j, y in xv.items():
+                        row[i * n + j] = row.get(i * n + j, f.zero) + cx * y
+        rows += [[acc[tup].get(ij, f.zero) for ij in range(n * n)]
+                 for tup in sorted(acc) if any(acc[tup].values())]
     return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
                     else Matrix.identity(f, n * n).rows)
 

@@ -450,10 +450,10 @@ def iso_search(a: Algebra, b: Algebra, grid=None, primes=_DEFAULT_PRIMES,
                max_search=300000) -> Verdict:
     """Decide isomorphism where possible: invariant separation, witness
     search over a grid of images, and prime-field evidence otherwise."""
-    if a.dim != b.dim:
-        return Verdict("distinct", component="dim")
     if a.field.name != b.field.name:
         raise ValueError("isomorphism search needs both algebras over one field")
+    if a.dim != b.dim:
+        return Verdict("distinct", component="dim")
     if isinstance(a.field, PrimeField):
         w = iso_search_fp(a, b, max_search=max_search)
         if w is not None:

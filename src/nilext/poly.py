@@ -137,7 +137,13 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        """Equal polynomials hash alike: a constant like its Fraction, and
+        otherwise by the terms with their zero exponents left out."""
+        if self.is_constant():
+            return hash(sum(self.terms.values(), Fraction(0)))
+        return hash(frozenset(
+            (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)
+            for exp, c in self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

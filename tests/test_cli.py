@@ -226,6 +226,23 @@ def test_verify_catalog_rejects_nonpositive_samples(capsys):
         assert err == "error: sample count must be at least 1, got %s\n" % n
 
 
+def test_coefficient_with_no_value_mod_p_is_an_error(capsys):
+    """N4_46 excludes lambda = -1/2 and N4_47 has -5/2 entries, which have
+    no value over F2: the commands exit 2 with one error line."""
+    params = "lambda=0,alpha=1"
+    for argv in (("info", "N4_46", "--params", params),
+                 ("iso", "N4_46", "N4_46", "--params", params, "--params2",
+                  params),
+                 ("info", "N4_47")):
+        code, out, err = run(capsys, *argv, "--field", "F2")
+        assert code == 2 and out == "", err
+        assert err.startswith("error: %s has no value over F2: " % argv[1])
+        assert err.count("\n") == 1, err
+    code, out, err = run(capsys, "info", "N4_46", "--field", "F3",
+                         "--params", params)
+    assert code == 0 and "N4_46(lambda=0 mod 3,alpha=1 mod 3)" in out
+
+
 def test_usage_error_from_argparse():
     try:
         cli.main(["no-such-command"])

@@ -86,6 +86,39 @@ def test_parse_render_round_trip():
     assert combo == want
 
 
+def test_parse_render_round_trip_random():
+    """render_form output parses back over Q and over QZ12, whose
+    coefficients render with z, powers and sums."""
+    rng = random.Random(58)
+    for name in ("Q", "QZ12"):
+        f = FIELDS[name]
+        for n in (2, 3, 4):
+            for density in (0.2, 0.5, 1.0):
+                th = BilinearForm(f, [[f.random(rng) if rng.random() < density
+                                       else f.zero for _ in range(n)]
+                                      for _ in range(n)])
+                assert parse_form(render_form(th), n, f) == th, \
+                    render_form(th)
+
+
+def test_parse_form_grammar():
+    a, forms, _ = _named("CD3_01")
+    got = parse_form("2*(N(1)+N(3))", a.dim, QQ, named=forms)
+    assert got == forms[0].scale(QQ.from_int(2)) + \
+        forms[2].scale(QQ.from_int(2))
+    assert parse_form("-(D(1,2)-N(3))", a.dim, QQ, named=forms) == \
+        forms[2] - BilinearForm.unit(QQ, a.dim, 0, 1)
+    assert parse_form(" 0 ", a.dim, QQ).is_zero()
+    for bad, named in (("D(0,1)", None), ("D(1)", None), ("D(1,2,3)", None),
+                       ("N(1)", None), ("N(8)", forms), ("N(1,2)", forms),
+                       ("D(1,2)*D(1,3)", None), ("D(1,2)/2", None),
+                       ("2", None), ("1+D(1,2)", None), ("D(1,2)-1", None),
+                       ("D(1,2)^2", None), ("D(x,2)", None),
+                       ("N(1)*2", forms)):
+        with pytest.raises(ValueError):
+            parse_form(bad, a.dim, QQ, named=named)
+
+
 def test_parse_form_with_parameter_coefficient():
     a, forms, _ = _named("CD3_04", {"lambda": 3})
     th = parse_form("(lambda-2)*D(1,3)", a.dim, QQ,

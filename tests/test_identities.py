@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
-from nilext import catalog
+from nilext import catalog, tables
 from nilext.algebra import Algebra
-from nilext.extensions import BilinearForm, central_extension
+from nilext.extensions import BilinearForm, cd_cocycle_space, central_extension
 from nilext.identities import (ALIA_NAMES, CD_NAMES, Identity, builtin,
                                builtin_names, first_failure, holds,
                                induced_cocycle_constraints)
@@ -305,3 +305,39 @@ def test_induced_constraints_agree_with_dense_reference_random():
             if space.dim < a.dim * a.dim:
                 nontrivial.add(ident.name)
     assert checked and refused and len(nontrivial) >= 5
+
+
+def test_stacked_cd_constraints_match_pairwise_intersection():
+    """One kernel of the stacked cd1-cd3 rows is the intersection of the
+    three single-identity spaces, on every base and on random CD tables and
+    their opposites; each identity cuts the space down somewhere."""
+    cds = [builtin(nm) for nm in CD_NAMES]
+    algebras = []
+    for nm in ("Q", "F2", "F3", "F5"):
+        for bid in sorted(tables.BASES):
+            swept = ([{"lambda": lam} for lam in catalog._COHOMOLOGY_LAMBDAS]
+                     if tables.BASES[bid]["params"] else [{}])
+            algebras += [catalog.instantiate(bid, vals, FIELDS[nm])
+                         for vals in swept]
+    rng = random.Random(61)
+    randoms = [_random_nilpotent(rng, FIELDS[nm], n)
+               for nm in ("Q", "F2", "F3", "F5") for n in (3, 4, 5, 5)]
+    randoms += [Algebra(a.field, [list(col) for col in zip(*a.table)])
+                for a in randoms]
+    refused = 0
+    needed = set()
+    for a in algebras + randoms:
+        if not all(holds(a, c) for c in cds):
+            refused += 1
+            with pytest.raises(ValueError):
+                induced_cocycle_constraints(a, *cds)
+            continue
+        s1, s2, s3 = (induced_cocycle_constraints(a, c) for c in cds)
+        stacked = induced_cocycle_constraints(a, *cds)
+        assert stacked == s1.intersect(s2).intersect(s3), a.label
+        assert cd_cocycle_space(Algebra(a.field, a.table)) == stacked
+        needed.update(k for k in range(3) if stacked != (
+            induced_cocycle_constraints(a, *(cds[:k] + cds[k + 1:]))))
+    assert 0 < refused < len(randoms) and needed == {0, 1, 2}
+    assert induced_cocycle_constraints(algebras[0]).dim == \
+        algebras[0].dim ** 2

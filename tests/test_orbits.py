@@ -148,6 +148,15 @@ def test_iso_search_separates():
     assert v.kind == "distinct"
 
 
+def test_iso_search_checks_fields_before_dimensions():
+    a = catalog.instantiate("CD3_01")
+    b = catalog.instantiate("N4_17", field=FIELDS["F2"])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError):
+            iso_search(x, y)
+    assert iso_search(a, catalog.instantiate("N4_17")).component == "dim"
+
+
 def test_iso_search_relation_witness():
     vals = {"alpha": 1, "beta": 2}
     flip = {"alpha": -1, "beta": 2}

@@ -127,3 +127,17 @@ def test_matrix_over_polynomials():
 def test_variables():
     assert variables(parse("alpha*(lambda-2)+1")) == {"alpha", "lambda"}
     assert variables(parse("3/4")) == set()
+
+
+def test_hash_agrees_with_equality():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    pairs = [(x + y - y, x), (x * y - x * y, MultiPoly()),
+             (MultiPoly.const(1), 1), (MultiPoly.const(Fraction(1, 2)),
+                                       Fraction(1, 2)),
+             (x * y + 3 - x * y, MultiPoly.const(3)),
+             (poly_str("(x+y)^2-2*x*y-y^2"), x * x)]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q), (p, q)
+    assert 1 in {MultiPoly.const(1)}
+    assert x + y - y in {x} and MultiPoly() in {0}
+    assert x != y and x * y != y * y

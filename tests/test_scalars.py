@@ -160,6 +160,10 @@ raises(ValueError, Identity, "x1", 2, ((Fraction(1), 0),))
 raises(ValueError, Identity, "x1*x3", 2, ((Fraction(1), (0, 2)),))
 raises(ValueError, is_split, catalog.instantiate("CD3_01"),
        [parse_form("D(1,2)", 3, QQ)])
+for bad in ("D(0,1)", "D(1)", "N(1)", "D(1,2)*D(1,3)", "D(1,2)/2", "2"):
+    raises(ValueError, parse_form, bad, 3, QQ)
+raises(ValueError, catalog.instantiate, "N4_46",
+       {"lambda": 0, "alpha": 1}, PrimeField(2))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     cli.main(["extend", "CD3_01", "--cocycle", "D(1,2)"])
