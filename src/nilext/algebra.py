@@ -82,17 +82,7 @@ class Algebra:
                     eqs.setdefault(("left", j, k), {})[i] = c
                 if side != "left":
                     eqs.setdefault(("right", i, k), {})[j] = c
-        pivots = sparse_rref(f, eqs.values())
-        basis = []
-        for c in range(n):
-            if c not in pivots:
-                v = zero_vec(f, n)
-                v[c] = f.one
-                for p, row in pivots.items():
-                    if c in row:
-                        v[p] = -row[c]
-                basis.append(v)
-        self._cache[key] = Subspace(f, n, basis)
+        self._cache[key] = Subspace(f, n, kernel_basis(f, n, eqs.values()))
         return self._cache[key]
 
     def square(self) -> Subspace:
@@ -107,9 +97,8 @@ class Algebra:
         """A basis of the linear functionals vanishing on A^2, each as its
         (index, coefficient) pairs over the nonzero coefficients; memoised."""
         if "square_funcs" not in self._cache:
-            sq = self.square()
-            funcs = kernel_basis(Matrix(self.field, sq.basis
-                                        or [zero_vec(self.field, self.dim)]))
+            funcs = kernel_basis(self.field, self.dim,
+                                 map(dict, map(enumerate, self.square().basis)))
             self._cache["square_funcs"] = [[(m, c) for m, c in enumerate(lam)
                                             if c] for lam in funcs]
         return self._cache["square_funcs"]

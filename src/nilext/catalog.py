@@ -1,6 +1,7 @@
 """Catalog instantiation, parameter sampling, and the verification pipeline."""
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,19 +72,27 @@ def _label(entry_id, e, conv, field):
     return "%s(%s)" % (entry_id, ",".join(parts))
 
 
+@contextmanager
+def _valued(entry_id, field):
+    """Raise ValueError for a coefficient or an excluded value with p in a
+    denominator, where the evaluation raises ZeroDivisionError."""
+    try:
+        yield
+    except ZeroDivisionError as exc:
+        raise ValueError("%s has no value over %s: %s"
+                         % (entry_id, field.name, exc)) from None
+
+
 def instantiate(entry_id: str, values=None, field=QQ) -> Algebra:
     """Evaluate a catalog entry's table at given parameter values."""
     e = entry(entry_id)
     n = e["dim"]
     table = [[zero_vec(field, n) for _ in range(n)] for _ in range(n)]
-    try:  # a coefficient or an excluded value with p in a denominator
+    with _valued(entry_id, field):
         conv, env = _converted(e, values, field)
         for i, j, src, k in e["products"]:
             c = eval_str(src, field, env)
             table[i - 1][j - 1][k - 1] = table[i - 1][j - 1][k - 1] + c
-    except ZeroDivisionError as exc:
-        raise ValueError("%s has no value over %s: %s"
-                         % (entry_id, field.name, exc)) from None
     return Algebra(field, table, label=_label(entry_id, e, conv, field),
                    params=conv)
 
@@ -118,22 +127,21 @@ def construction(entry_id: str, values=None, field=QQ):
     e = entry(entry_id)
     if "base" not in e:
         raise ValueError("%s has no construction data" % entry_id)
-    conv, env = _converted(e, values, field)
-    base_e = tables.BASES[e["base"]]
-    base_vals = {}
-    for name in base_e["params"]:
-        if name in e["base_params"]:
-            base_vals[name] = eval_str(e["base_params"][name], field, env)
-        elif name in conv:
-            base_vals[name] = conv[name]
-        else:
-            raise ValueError("missing base parameter: " + name)
-    base = instantiate(e["base"], base_vals, field)
-    forms = named_forms(e["base"], field, base_vals)
-    n = base.dim
-    theta = BilinearForm.zero(field, n)
-    for src, idx in e["cocycle"]:
-        theta = theta + forms[idx - 1].scale(eval_str(src, field, env))
+    with _valued(entry_id, field):
+        conv, env = _converted(e, values, field)
+        base_vals = {}
+        for name in tables.BASES[e["base"]]["params"]:
+            if name in e["base_params"]:
+                base_vals[name] = eval_str(e["base_params"][name], field, env)
+            elif name in conv:
+                base_vals[name] = conv[name]
+            else:
+                raise ValueError("missing base parameter: " + name)
+        base = instantiate(e["base"], base_vals, field)
+        forms = named_forms(e["base"], field, base_vals)
+        theta = BilinearForm.zero(field, base.dim)
+        for src, idx in e["cocycle"]:
+            theta = theta + forms[idx - 1].scale(eval_str(src, field, env))
     return base, theta
 
 

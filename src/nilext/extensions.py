@@ -14,6 +14,7 @@ from . import identities
 from .algebra import Algebra
 from .exprs import eval_str, field_env
 from .linalg import Matrix, Subspace, complement_reps, zero_vec
+from .scalars import FpElt
 
 
 class BilinearForm:
@@ -104,8 +105,8 @@ def render_form(theta: BilinearForm) -> str:
                 parts.append("+" + atom)
             elif c == -f.one:
                 parts.append("-" + atom)
-            else:
-                cs = f.render(c)
+            else:  # an F_p coefficient as its residue, as parse_form reads
+                cs = str(c.v) if isinstance(c, FpElt) else f.render(c)
                 if any(ch in cs for ch in "+-") and not cs.lstrip("-").isdigit():
                     cs = "(" + cs + ")"
                 parts.append(("+" if not cs.startswith("-") else "") + cs + "*" + atom)

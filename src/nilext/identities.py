@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Subspace, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,8 @@ def induced_cocycle_constraints(algebra, *idents) -> Subspace:
                     cx = cf * x if cf is not None else -x if sub else x
                     for j, y in xv.items():
                         row[i * n + j] = row.get(i * n + j, f.zero) + cx * y
-        rows += [[acc[tup].get(ij, f.zero) for ij in range(n * n)]
-                 for tup in sorted(acc) if any(acc[tup].values())]
-    return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
-                    else Matrix.identity(f, n * n).rows)
+        rows += acc.values()
+    return Subspace(f, n * n, kernel_basis(f, n * n, rows))
 
 
 # Variable layout for the arity-4 families: x=0, y=1, a=2, b=3.
@@ -235,10 +233,6 @@ def builtin(name: str) -> Identity:
     if name not in _BUILTINS:
         raise KeyError("unknown identity %r" % name)
     return _BUILTINS[name]
-
-
-def builtin_names():
-    return sorted(_BUILTINS)
 
 
 CD_NAMES = ("cd1", "cd2", "cd3")

@@ -1,9 +1,14 @@
-"""Exact linear algebra over the scalar fields: dense matrices, and
-elimination on sparse rows.
+"""Exact linear algebra over the scalar fields: dense matrices, subspaces
+and kernels, all reduced by one elimination, sparse_rref on sparse rows
+{column: coefficient}.
 
 Vectors are plain lists of field elements. Subspaces are canonicalized to
 reduced row echelon bases, so two subspaces are equal exactly when their
 representations are equal.
+
+echelon_mod_p and reduce_mod_p are the int fast path: they eliminate
+residues mod p held as plain ints, where the F_p searches would otherwise
+build a field element per entry.
 """
 
 from __future__ import annotations
@@ -128,59 +133,34 @@ class Matrix:
         return hash(tuple(tuple(r) for r in self.rows))
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list).
+        """Reduced row echelon form; returns (rows, pivot column list): the
+        pivot rows of sparse_rref, sorted by pivot and made dense."""
+        pivots = self._sparse_rref()
+        cols = sorted(pivots)
+        z = self.field.zero
+        return [[pivots[c].get(j, z) for j in range(self.ncols)]
+                for c in cols], cols
 
-        Elimination is sparse. The rows not yet used as pivot rows are zero
-        left of the current pivot column, so the pivot row is scaled, and
-        subtracted from each other row in place, only at its nonzero
-        columns. A zero entry the elimination does not reach keeps its
-        original object."""
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            inv = f.one / prow[c]
-            nz = [(j, inv * x) for j, x in enumerate(prow) if x]
-            for j, x in nz:
-                prow[j] = x
-            for i, row in enumerate(rows):
-                m = row[c]
-                if m and i != r:
-                    for j, x in nz:
-                        row[j] = row[j] - m * x
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows[:r], pivots
+    def _sparse_rref(self):
+        return sparse_rref(self.field, map(dict, map(enumerate, self.rows)))
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._sparse_rref())
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def try_inverse(self):
+        """The inverse, read off sparse_rref of [self | identity], or None."""
         if self.nrows != self.ncols:
             return None
-        n = self.nrows
-        aug = Matrix(self.field,
-                     [list(self.rows[i]) + list(Matrix.identity(self.field, n).rows[i])
-                      for i in range(n)])
-        rows, pivots = aug.rref()
-        if pivots != list(range(n)):
+        f, n = self.field, self.nrows
+        pivots = sparse_rref(f, [{**dict(enumerate(r)), n + i: f.one}
+                                 for i, r in enumerate(self.rows)])
+        if any(c >= n for c in pivots):
             return None
-        return Matrix(self.field, [r[n:] for r in rows])
+        return Matrix(f, [[pivots[i].get(n + j, f.zero) for j in range(n)]
+                          for i in range(n)])
 
     def inverse(self):
         inv = self.try_inverse()
@@ -190,21 +170,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (self.rows,)
-
-
-def kernel_basis(m: Matrix):
-    """Basis of the right kernel {x : m x = 0}."""
-    f = m.field
-    rows, pivots = m.rref()
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = zero_vec(f, m.ncols)
-        v[c] = f.one
-        for r, pc in zip(rows, pivots):
-            v[pc] = -r[c]
-        basis.append(v)
-    return basis
 
 
 def sparse_rref(field, rows):
@@ -234,13 +199,32 @@ def sparse_rref(field, rows):
         if not row:
             continue
         p = min(row)
-        inv = field.one / row[p]
-        row = {j: inv * x for j, x in row.items()}
+        if row[p] != field.one:
+            inv = field.one / row[p]
+            row = {j: inv * x for j, x in row.items()}
         for prow in pivots.values():
             if p in prow:
                 subtract(prow, prow[p], row)
         pivots[p] = row
     return pivots
+
+
+def kernel_basis(field, ncols, rows):
+    """Basis of {x : sum_c row[c] x[c] = 0 for every sparse row}: one vector
+    per column that is not a pivot of sparse_rref, 1 there and minus the
+    pivot rows' entries in that column at their pivots. No rows give the
+    unit vectors."""
+    pivots = sparse_rref(field, rows)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = zero_vec(field, ncols)
+            v[c] = field.one
+            for p, row in pivots.items():
+                if c in row:
+                    v[p] = -row[c]
+            basis.append(v)
+    return basis
 
 
 def projective_points(p, k):
@@ -276,17 +260,16 @@ def reduce_mod_p(basis, v, p):
 
 
 def solve_linear(m: Matrix, b):
-    """A particular solution of m x = b, or None."""
-    f = m.field
-    aug = Matrix(f, [list(r) + [bi] for r, bi in zip(m.rows, b)])
-    rows, pivots = aug.rref()
-    for r, pc in zip(rows, pivots):
-        if pc == m.ncols:
-            return None
-    x = zero_vec(f, m.ncols)
-    for r, pc in zip(rows, pivots):
-        if pc < m.ncols:
-            x[pc] = r[-1]
+    """A particular solution of m x = b, or None: sparse_rref of [m | b]
+    has a pivot in the last column exactly when there is none."""
+    f, n = m.field, m.ncols
+    pivots = sparse_rref(f, [dict(enumerate(r + [bi]))
+                             for r, bi in zip(m.rows, b)])
+    if n in pivots:
+        return None
+    x = zero_vec(f, n)
+    for c, row in pivots.items():
+        x[c] = row.get(n, f.zero)
     return x
 
 
@@ -296,12 +279,8 @@ class Subspace:
     def __init__(self, field, ambient, vectors=()):
         self.field = field
         self.ambient = ambient
-        vecs = [v for v in vectors if not is_zero_vec(field, v)]
         # pivots[i] is the leading column of basis[i].
-        if vecs:
-            self.basis, self.pivots = Matrix(field, vecs).rref()
-        else:
-            self.basis, self.pivots = [], []
+        self.basis, self.pivots = Matrix(field, vectors).rref()
 
     @property
     def dim(self):
@@ -326,20 +305,6 @@ class Subspace:
     def add(self, other) -> "Subspace":
         self._same_ambient(other)
         return Subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other) -> "Subspace":
-        self._same_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.ambient)
-        cols = [list(b) for b in self.basis] + [list(b) for b in other.basis]
-        m = Matrix.from_cols(self.field, cols)
-        vecs = []
-        for k in kernel_basis(m):
-            v = zero_vec(self.field, self.ambient)
-            for c, b in zip(k[: len(self.basis)], self.basis):
-                v = vec_add(v, vec_scale(c, b))
-            vecs.append(v)
-        return Subspace(self.field, self.ambient, vecs)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient

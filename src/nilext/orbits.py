@@ -14,7 +14,7 @@ from .extensions import (BilinearForm, CohomologyBasis, LineClass,
                          cd_cocycle_space, central_extension, classify_line,
                          cohomology)
 from .linalg import (Matrix, Subspace, kernel_basis, projective_points,
-                     solve_linear, vec_scale, vec_sub, zero_vec)
+                     solve_linear, vec_scale, vec_sub)
 from .poly import POLY_RING, MultiPoly
 from .scalars import PrimeField
 
@@ -262,7 +262,7 @@ def _line_classifier(a: Algebra, coh: CohomologyBasis):
     z2cd = cd_cocycle_space(a)
     cd = None
     if z2cd is not None:
-        ws = kernel_basis(Matrix(f, z2cd.basis or [zero_vec(f, n * n)]))
+        ws = kernel_basis(f, n * n, map(dict, map(enumerate, z2cd.basis)))
         cd = [[sum(w.v * x for w, x in zip(wv, flat)) % p for flat in flats]
               for wv in ws]
 

@@ -4,8 +4,9 @@ from itertools import product
 from nilext import catalog, tables
 from nilext.algebra import (Algebra, eval_tree, fingerprint, first_difference,
                             generating_scheme, is_homomorphism)
-from nilext.linalg import Matrix, Subspace, kernel_basis
+from nilext.linalg import Matrix, Subspace
 from nilext.scalars import FIELDS, QQ
+from test_linalg import dense_kernel
 from test_scalars import roots_of_unity
 
 
@@ -81,8 +82,7 @@ def _derivations(a):
     f, n = a.field, a.dim
     rows = [[eq.get(rc, f.zero) for rc in range(n * n)]
             for eq in a._derivation_equations()]
-    return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
-                    else Matrix.identity(f, n * n).rows)
+    return Subspace(f, n * n, dense_kernel(f, n * n, rows))
 
 
 def _reference_power_chain(a):
@@ -111,7 +111,7 @@ def _reference_annihilator(a, side):
             rows.append([a.table[i][j][k] for i in range(n)])
         if side in ("both", "right"):
             rows.append([a.table[j][i][k] for i in range(n)])
-    return Subspace(f, n, kernel_basis(Matrix(f, rows)))
+    return Subspace(f, n, dense_kernel(f, n, rows))
 
 
 def _invariant_samples():
@@ -394,8 +394,7 @@ def _reference_derivations(a):
             row[r * n + j] = row[r * n + j] - a.table[i][r][k]
         if any(row):
             rows.append(row)
-    return Subspace(f, n * n, kernel_basis(Matrix(f, rows)) if rows
-                    else Matrix.identity(f, n * n).rows)
+    return Subspace(f, n * n, dense_kernel(f, n * n, rows))
 
 
 def _reference_is_cd_by_operators(a, der):

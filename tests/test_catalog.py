@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from nilext import catalog, tables
 from nilext.scalars import FIELDS, QQ
 
@@ -104,6 +106,16 @@ def test_reconstruction_other_field():
     want = catalog.instantiate("N4_42", {"lambda": 2, "alpha": 1}, f7)
     got = catalog.reconstruct("N4_42", {"lambda": 2, "alpha": 1}, f7)
     assert got.table == want.table
+
+
+def test_construction_without_value_mod_p_raises_value_error():
+    """construction and reconstruct refuse an entry with no value over F2
+    by ValueError, as instantiate does."""
+    f2 = FIELDS["F2"]
+    for build in (catalog.instantiate, catalog.construction,
+                  catalog.reconstruct):
+        with pytest.raises(ValueError, match="N4_47 has no value over F2"):
+            build("N4_47", {}, f2)
 
 
 def test_verify_cohomology_scope():

@@ -10,8 +10,9 @@ from nilext.extensions import (BilinearForm, LineClass, b2_space,
                                classify_line, coboundary, cohomology,
                                is_split, parse_form,
                                radical_meets_annihilator, render_form)
-from nilext.linalg import Matrix, Subspace, kernel_basis
+from nilext.linalg import Matrix, Subspace
 from nilext.scalars import FIELDS, QQ
+from test_linalg import dense_kernel, intersect
 from test_orbits import (_census_setups, _normalize_line,
                          _random_invertible, _random_nilpotent, _transported)
 
@@ -24,9 +25,7 @@ def theta_perp(a, thetas):
         for j in range(a.dim):
             rows.append([th.gram.rows[i][j] for i in range(a.dim)])
             rows.append(list(th.gram.rows[j]))
-    if not rows:
-        return Subspace(f, a.dim, Matrix.identity(f, a.dim).rows)
-    return Subspace(f, a.dim, kernel_basis(Matrix(f, rows)))
+    return Subspace(f, a.dim, dense_kernel(f, a.dim, rows))
 
 
 def _named(bid, vals=None):
@@ -101,6 +100,25 @@ def test_parse_render_round_trip_random():
                     render_form(th)
 
 
+def test_fp_representatives_parse_back():
+    """Every cohomology representative of CD3_01-CD3_04, named and
+    computed, survives render_form then parse_form over F5 and F7: an F_p
+    coefficient is written as its residue."""
+    for name in ("F5", "F7"):
+        f = FIELDS[name]
+        texts = []
+        for bid in ("CD3_01", "CD3_02", "CD3_03", "CD3_04"):
+            vals = {"lambda": f.from_int(2)} if bid == "CD3_04" else {}
+            a = catalog.instantiate(bid, vals, f)
+            named = catalog.named_forms(bid, f, vals)
+            for coh in (cohomology(a),
+                        cohomology(a, named, catalog.cd_flags(bid))):
+                for th in coh.reps:
+                    texts.append(render_form(th))
+                    assert parse_form(texts[-1], a.dim, f) == th, texts[-1]
+        assert any("*" in t for t in texts)  # a coefficient other than +-1
+
+
 def test_parse_form_grammar():
     a, forms, _ = _named("CD3_01")
     got = parse_form("2*(N(1)+N(3))", a.dim, QQ, named=forms)
@@ -165,7 +183,7 @@ def test_central_extension_table():
 def test_split_detection():
     a, forms, _ = _named("CD3_03")
     th = forms[2]
-    assert theta_perp(a, [th]).intersect(a.annihilator()).dim == 0
+    assert intersect(theta_perp(a, [th]), a.annihilator()).dim == 0
     assert not is_split(a, [th])
     shifted = th + coboundary(a, [QQ.one, QQ.from_int(2), QQ.zero])
     assert not is_split(a, [shifted])
@@ -182,7 +200,7 @@ def test_extension_annihilator_formula():
         if th.is_zero():
             continue
         ext = central_extension(a, [th])
-        inner = theta_perp(a, [th]).intersect(a.annihilator())
+        inner = intersect(theta_perp(a, [th]), a.annihilator())
         lifted = [list(v) + [f.zero] for v in inner.basis]
         lifted.append([f.zero] * n + [f.one])
         want = Subspace(f, n + 1, lifted)
@@ -199,7 +217,7 @@ def _reference_form_from_coords(coh, coords):
 def _reference_radical_meets(a, thetas):
     # A fresh algebra has an empty cache: the annihilator is recomputed.
     ann = Algebra(a.field, a.table).annihilator("both")
-    return theta_perp(a, thetas).intersect(ann).dim > 0
+    return intersect(theta_perp(a, thetas), ann).dim > 0
 
 
 def _reference_classify_line(a, theta):

@@ -1,10 +1,29 @@
 import random
 
+import pytest
+
 from nilext import catalog, orbits, tables
 from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
                            solve_linear, sparse_rref, vec_scale, vec_sub,
                            zero_vec)
 from nilext.scalars import FIELDS
+
+
+def dense_kernel(f, ncols, rows):
+    """kernel_basis of dense rows."""
+    return kernel_basis(f, ncols, [dict(enumerate(r)) for r in rows])
+
+
+def intersect(u, w):
+    """The intersection of two subspaces: each kernel vector (a, b) of the
+    columns u.basis + w.basis gives the common vector sum_i a_i u_i."""
+    u._same_ambient(w)
+    f, cols = u.field, u.basis + w.basis
+    ker = kernel_basis(f, len(cols), [{i: b[k] for i, b in enumerate(cols)}
+                                      for k in range(u.ambient)])
+    return Subspace(f, u.ambient, [
+        [sum((c * b[k] for c, b in zip(v, u.basis)), f.zero)
+         for k in range(u.ambient)] for v in ker])
 
 
 def _random_matrix(f, rng, r, c):
@@ -19,10 +38,37 @@ def test_rank_nullity_random():
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
         m = _random_matrix(f, rng, r, c)
-        ker = kernel_basis(m)
+        ker = dense_kernel(f, c, m.rows)
         assert m.rank() + len(ker) == c
         for v in ker:
             assert m.apply(v) == zero_vec(f, r)
+
+
+def test_kernel_basis_of_no_rows_is_unit_vectors():
+    for name in ("Q", "F2"):
+        f = FIELDS[name]
+        for n in range(4):
+            assert kernel_basis(f, n, []) == [
+                [f.one if i == j else f.zero for j in range(n)]
+                for i in range(n)]
+            assert kernel_basis(f, n, [{}, {}]) == kernel_basis(f, n, [])
+
+
+def test_kernel_basis_ignores_explicit_zero_coefficients():
+    """Explicit zeros in the sparse rows, in a row with other entries or
+    making up the whole row, change nothing."""
+    rng = random.Random(29)
+    for name in ("Q", "F3"):
+        f = FIELDS[name]
+        for _ in range(20):
+            m = _random_sparse_matrix(f, rng)
+            padded = [dict(enumerate(r)) for r in m.rows] + [
+                {j: f.zero for j in range(m.ncols)}]
+            ker = kernel_basis(f, m.ncols, padded)
+            rows, pivots = _reference_rref(m)
+            assert ker == dense_kernel(f, m.ncols, rows)
+            assert len(ker) == m.ncols - len(pivots)
+            assert all(not any(m.apply(v)) for v in ker)
 
 
 def test_solve_linear_random():
@@ -65,12 +111,16 @@ def test_subspace_operations():
     w = Subspace(f, 4, [e[1], e[2]])
     assert u.dim == 2 and w.dim == 2
     assert u.add(w).dim == 3
-    inter = u.intersect(w)
+    inter = intersect(u, w)
     assert inter.dim == 1
     assert inter.contains(e[1])
     assert not inter.contains(e[0])
     assert u.contains(e[0])
     assert not u.contains(e[3])
+    for empty in (Subspace(f, 4), Subspace(f, 4, [zero_vec(f, 4)])):
+        assert intersect(u, empty).dim == intersect(empty, u).dim == 0
+    with pytest.raises(ValueError):
+        intersect(u, Subspace(f, 3, e[:1]))
 
 
 def test_subspace_dim_formula_random():
@@ -81,7 +131,7 @@ def test_subspace_dim_formula_random():
         ws = [[f.random(rng) for _ in range(5)] for _ in range(3)]
         u = Subspace(f, 5, vs)
         w = Subspace(f, 5, ws)
-        assert u.add(w).dim + u.intersect(w).dim == u.dim + w.dim
+        assert u.add(w).dim + intersect(u, w).dim == u.dim + w.dim
 
 
 def test_complement_reps():
@@ -131,7 +181,7 @@ def test_subspace_pivots_match_leading_entries():
                                            range(rng.randrange(3))])
             w = Subspace(f, n, [shared] + [sparse() for _ in
                                            range(rng.randrange(3))])
-            for sub in (u, w, u.add(w), u.intersect(w), Subspace(f, n)):
+            for sub in (u, w, u.add(w), intersect(u, w), Subspace(f, n)):
                 assert sub.pivots == [next(i for i, x in enumerate(b) if x)
                                       for b in sub.basis]
                 vecs = [sparse() for _ in range(4)]
@@ -216,8 +266,8 @@ def test_rref_matches_dense_reference_random():
 
 
 def test_sparse_rref_matches_rref_random():
-    """The pivot rows of the sparse rows, sorted by pivot, are the rref of
-    the dense matrix: same rank, same pivots, same entries."""
+    """The pivot rows of the sparse rows, sorted by pivot, are the dense
+    reference rref of the matrix: same rank, same pivots, same entries."""
     rng = random.Random(28)
     ranks = set()
     for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
@@ -226,8 +276,7 @@ def test_sparse_rref_matches_rref_random():
             m = _random_sparse_matrix(f, rng)
             sparse = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
             pivots = sparse_rref(f, sparse)
-            rows, cols = m.rref()
-            assert len(pivots) == m.rank()
+            rows, cols = _reference_rref(m)
             assert sorted(pivots) == cols
             assert [[pivots[c].get(j, f.zero) for j in range(m.ncols)]
                     for c in cols] == rows
