@@ -11,8 +11,8 @@ from .exprs import eval_str, field_env, poly_str
 from .extensions import BilinearForm, central_extension, cohomology
 from .identities import ALIA_NAMES, CD_NAMES, builtin, holds, \
     induced_cocycle_constraints
-from .linalg import Subspace, zero_vec
-from .orbits import AutFamily, iso_search, verify_transform_table
+from .linalg import Matrix, Subspace, zero_vec
+from .orbits import iso_search, verify_transform_table
 from .poly import POLY_RING
 from .scalars import FIELDS, QQ
 
@@ -156,15 +156,14 @@ def transform_check(base_id: str):
     """Symbolic pullback check of a base's recorded coefficient formulas."""
     setup = tables.SETUPS[base_id]
     n = tables.BASES[base_id]["dim"]
-    aut = setup["aut"]
-    family = AutFamily.from_strings(base_id, aut["vars"], aut["nonzero"],
-                                    aut["rows"])
+    phi = Matrix(POLY_RING, [[poly_str(s) for s in row]
+                             for row in setup["aut"]["rows"]])
     formulas = [poly_str(s) for s in setup["transform"]]
     grids = [_grid(spec, n, POLY_RING.zero, poly_str)
              for spec in setup["forms"]]
     b2_rows = [[c for row in _grid(spec, n, POLY_RING.zero, poly_str)
                 for c in row] for spec in setup["b2"]]
-    return verify_transform_table(family, formulas, grids, b2_rows)
+    return verify_transform_table(phi, formulas, grids, b2_rows)
 
 
 def cocycle_string(e) -> str:

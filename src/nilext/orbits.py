@@ -28,33 +28,11 @@ def act(phi: Matrix, theta: BilinearForm) -> BilinearForm:
     return BilinearForm(theta.field, phi.transpose() * theta.gram * phi)
 
 
-@dataclass(frozen=True)
-class AutFamily:
-    """A parametric matrix family inside the automorphism group."""
-
-    label: str
-    var_names: tuple
-    nonzero: tuple
-    entries: tuple  # rows of MultiPoly
-
-    @classmethod
-    def from_strings(cls, label, var_names, nonzero, rows):
-        from .exprs import poly_str
-        entries = tuple(tuple(poly_str(e) for e in row) for row in rows)
-        return cls(label, tuple(var_names), tuple(nonzero), entries)
-
-    @property
-    def dim(self):
-        return len(self.entries)
-
-    def poly_matrix(self) -> Matrix:
-        return Matrix(POLY_RING, [list(r) for r in self.entries])
-
-
-def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
+def verify_transform_table(phi: Matrix, formulas, nabla_grids, b2_rows):
     """Check symbolically that pulling back a generic combination of the
-    named forms along the family lands on the combination given by the
-    formulas, up to coboundaries.
+    named forms along phi, a square matrix over POLY_RING whose entries are
+    polynomials in the automorphism parameters, lands on the combination
+    given by the formulas, up to coboundaries.
 
     nabla_grids are the named forms as square grids of polynomials; b2_rows
     are flattened coboundary generators. Their echelon reduction must meet a
@@ -64,7 +42,7 @@ def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
     if len(formulas) != len(nabla_grids):
         raise ValueError("%d formulas for %d named forms"
                          % (len(formulas), len(nabla_grids)))
-    n = family.dim
+    n = phi.nrows
     grids = [Matrix(POLY_RING, g) for g in nabla_grids]
 
     def combo(coeffs):
@@ -72,7 +50,6 @@ def verify_transform_table(family: AutFamily, formulas, nabla_grids, b2_rows):
                    Matrix.zero(POLY_RING, n, n))
 
     coeff_vars = [MultiPoly.var("a%d" % (k + 1)) for k in range(len(grids))]
-    phi = family.poly_matrix()
     residual = (phi.transpose() * combo(coeff_vars) * phi
                 - combo(formulas)).flatten()
     b2 = Subspace(POLY_RING, n * n, b2_rows)

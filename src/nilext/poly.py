@@ -1,8 +1,9 @@
 """Multivariate polynomials over Q with exact coefficients.
 
-Terms are stored sparsely as {exponent tuple: Fraction} against a sorted
-variable tuple; binary operations merge the variable universes first, so
-polynomials built over different variable sets combine transparently.
+Terms are stored sparsely as {monomial: Fraction}. A monomial names its own
+variables: it is the tuple of (variable, exponent) pairs with exponent >= 1,
+sorted by variable, and () is the constant monomial. Polynomials in any
+variables therefore combine term by term with no shared variable list.
 """
 
 from __future__ import annotations
@@ -10,101 +11,89 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class MultiPoly:
-    __slots__ = ("vars", "terms")
+def _monomial(pairs) -> tuple:
+    """The monomial of (variable, exponent) pairs: repeated variables summed,
+    zero exponents dropped; ValueError for a negative or non-int exponent."""
+    exps = {}
+    for v, e in pairs:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be an int >= 0, got %r" % (e,))
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
-    def __init__(self, vars=(), terms=None):
-        vs = tuple(vars)
-        if vs != tuple(sorted(vs)):
-            raise ValueError("variables must be sorted")
+
+class MultiPoly:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
         ts = {}
-        for exp, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                if len(exp) != len(vs):
-                    raise ValueError("exponent %r does not match variables %r"
-                                     % (exp, vs))
-                ts[tuple(int(e) for e in exp)] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", ts)
+        for mono, c in (terms or {}).items():
+            mono = _monomial(mono)
+            ts[mono] = ts.get(mono, Fraction(0)) + Fraction(c)
+        object.__setattr__(self, "terms", {m: c for m, c in ts.items() if c})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "MultiPoly":
+        """A polynomial over normalised monomials, with zero terms dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        return MultiPoly, (self.terms,)
+
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        c = Fraction(c)
-        return cls((), {(): c} if c else {})
+        return cls._of({(): Fraction(c)})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._of({((name, 1),): Fraction(1)})
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return all(not mono for mono in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("%r is not a constant" % self)
-        return sum(self.terms.values(), Fraction(0))
-
-    def _aligned(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return None
-        if self.vars == other.vars:
-            return self, other
-        allv = tuple(sorted(set(self.vars) | set(other.vars)))
-        return self._embed(allv), other._embed(allv)
-
-    def _embed(self, allv) -> "MultiPoly":
-        if allv == self.vars:
-            return self
-        pos = [allv.index(v) for v in self.vars]
-        ts = {}
-        for exp, c in self.terms.items():
-            row = [0] * len(allv)
-            for p, e in zip(pos, exp):
-                row[p] = e
-            ts[tuple(row)] = c
-        return MultiPoly(allv, ts)
+        return self.terms.get((), Fraction(0))
 
     def __add__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
-        ts = dict(a.terms)
-        for exp, c in b.terms.items():
-            ts[exp] = ts.get(exp, Fraction(0)) + c
-        return MultiPoly(a.vars, ts)
+        ts = dict(self.terms)
+        for mono, c in other.terms.items():
+            ts[mono] = ts.get(mono, Fraction(0)) + c
+        return MultiPoly._of(ts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
         ts = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                ts[e] = ts.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, ts)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _monomial(m1 + m2)
+                ts[m] = ts.get(m, Fraction(0)) + c1 * c2
+        return MultiPoly._of(ts)
 
     __rmul__ = __mul__
 
@@ -130,20 +119,16 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return a.terms == b.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        """Equal polynomials hash alike: a constant like its Fraction, and
-        otherwise by the terms with their zero exponents left out."""
+        """Equal polynomials hash alike, and a constant like its Fraction."""
         if self.is_constant():
-            return hash(sum(self.terms.values(), Fraction(0)))
-        return hash(frozenset(
-            (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)
-            for exp, c in self.terms.items()))
+            return hash(self.constant_value())
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -151,35 +136,41 @@ class MultiPoly:
     def evaluate(self, field, env):
         """Evaluate at field elements; env maps every variable to a value."""
         acc = field.zero
-        for exp, c in self.terms.items():
+        for mono, c in self.terms.items():
             t = field.from_fraction(c)
-            for v, e in zip(self.vars, exp):
-                if e:
-                    t = t * env[v] ** e
+            for v, e in mono:
+                t = t * env[v] ** e
             acc = acc + t
         return acc
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e for _, e in mono) for mono in self.terms),
+                   default=0)
 
     def __repr__(self):
+        """Terms in descending lexicographic order of their exponent vectors
+        over the sorted names that occur."""
         if not self.terms:
             return "0"
+        names = sorted({v for mono in self.terms for v, _ in mono})
+
+        def exponents(mono):
+            exps = dict(mono)
+            return [exps.get(v, 0) for v in names]
+
         bits = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
-            mono = "*".join(
-                ("%s" % v if e == 1 else "%s^%d" % (v, e))
-                for v, e in zip(self.vars, exp) if e
-            )
-            if not mono:
+        for mono in sorted(self.terms, key=exponents, reverse=True):
+            c = self.terms[mono]
+            text = "*".join(v if e == 1 else "%s^%d" % (v, e)
+                            for v, e in mono)
+            if not text:
                 bits.append(str(c))
             elif c == 1:
-                bits.append(mono)
+                bits.append(text)
             elif c == -1:
-                bits.append("-" + mono)
+                bits.append("-" + text)
             else:
-                bits.append("%s*%s" % (c, mono))
+                bits.append("%s*%s" % (c, text))
         s = bits[0]
         for b in bits[1:]:
             s += b if b.startswith("-") else "+" + b
@@ -208,6 +199,10 @@ class _PolyRing:
     @staticmethod
     def from_fraction(q):
         return MultiPoly.const(q)
+
+    @staticmethod
+    def render(p) -> str:
+        return repr(p)
 
     def __repr__(self):
         return "_PolyRing()"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilext import catalog, tables
+from nilext.poly import POLY_RING, MultiPoly
 from nilext.scalars import FIELDS, QQ
 
 
@@ -65,6 +66,28 @@ def test_instantiate_label():
     a = catalog.instantiate("N4_42", {"lambda": 2, "alpha": 1})
     assert a.label == "N4_42(lambda=2,alpha=1)"
     assert catalog.instantiate("N4_17").label == "N4_17"
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    a = catalog.instantiate("N4_29", {"alpha": x, "beta": y / 2}, POLY_RING)
+    assert a.label == "N4_29(alpha=x,beta=1/2*y)"
+
+
+def test_instantiate_over_polynomials():
+    """With each parameter as its own variable, an entry's table evaluated
+    at a sample is the table instantiated there; N4_42 divides by 1-lambda,
+    which is no polynomial."""
+    for eid in catalog.all_ids():
+        params = catalog.entry(eid)["params"]
+        generic = {nm: MultiPoly.var(nm) for nm in params}
+        if eid == "N4_42":
+            with pytest.raises(ValueError, match="not a constant"):
+                catalog.instantiate(eid, generic, POLY_RING)
+            continue
+        a = catalog.instantiate(eid, generic, POLY_RING)
+        sample = catalog.sample_parameters(eid, 1)[0]
+        env = {nm: Fraction(v) for nm, v in sample.items()}
+        got = [[[c.evaluate(QQ, env) for c in vec] for vec in row]
+               for row in a.table]
+        assert got == catalog.instantiate(eid, sample).table, eid
 
 
 def test_sample_parameters_examples():

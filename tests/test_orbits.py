@@ -10,14 +10,16 @@ import pytest
 from nilext import catalog, tables
 from nilext.algebra import (Algebra, element_profile, eval_tree, fingerprint,
                             generating_scheme, invariant, is_homomorphism)
+from nilext.exprs import poly_str
 from nilext.extensions import (BilinearForm, CohomologyBasis, LineClass,
                                classify_line, cohomology, central_extension)
 from nilext.linalg import Matrix, projective_points
-from nilext.orbits import (AutFamily, Census, LineOrbit, ResourceBound,
+from nilext.orbits import (Census, LineOrbit, ResourceBound,
                            Verdict, _line_classifier,
                            act, aut_group_fp, extension_of_line, iso_search,
                            iso_search_fp, orbit_census_fp,
                            verify_transform_table, witness_extension_iso)
+from nilext.poly import POLY_RING, MultiPoly
 from nilext.scalars import FIELDS, QQ
 
 
@@ -26,13 +28,15 @@ def verify_isomorphism(a, b, phi):
             and is_homomorphism(a, b, phi))
 
 
-def specialize(family, field, env):
-    """The member of an automorphism family at the given variable values."""
-    for nm in family.nonzero:
+def specialize(bid, field, env):
+    """The member of a base's automorphism family at the given variable
+    values."""
+    aut = tables.SETUPS[bid]["aut"]
+    for nm in aut["nonzero"]:
         if not env[nm]:
             raise ValueError("%s must be nonzero" % nm)
-    m = Matrix(field, [[e.evaluate(field, env) for e in row]
-                       for row in family.entries])
+    m = Matrix(field, [[poly_str(e).evaluate(field, env) for e in row]
+                       for row in aut["rows"]])
     if not m.is_invertible():
         raise ValueError("specialized family member is singular")
     return m
@@ -70,15 +74,12 @@ def test_act_definition():
 
 
 def test_aut_family_specialize():
-    setup = tables.SETUPS["CD3_01"]["aut"]
-    fam = AutFamily.from_strings("CD3_01", setup["vars"], setup["nonzero"],
-                                 setup["rows"])
     a = catalog.instantiate("CD3_01")
     env = {"x": QQ.from_int(2), "y": QQ.from_int(5)}
-    phi = specialize(fam, QQ, env)
+    phi = specialize("CD3_01", QQ, env)
     assert is_homomorphism(a, a, phi)
     with pytest.raises(ValueError, match="x must be nonzero"):
-        specialize(fam, QQ, {"x": QQ.zero, "y": QQ.from_int(5)})
+        specialize("CD3_01", QQ, {"x": QQ.zero, "y": QQ.from_int(5)})
 
 
 def test_transform_tables_symbolic():
@@ -88,29 +89,31 @@ def test_transform_tables_symbolic():
 
 
 def test_transform_table_rejects_wrong_formula():
-    setup = tables.SETUPS["CD3_01"]
-    aut = setup["aut"]
-    fam = AutFamily.from_strings("CD3_01", aut["vars"], aut["nonzero"],
-                                 aut["rows"])
-    from nilext.exprs import poly_str
-    from nilext.poly import MultiPoly
-    formulas = [poly_str(s) for s in setup["transform"]]
-    formulas[0] = formulas[0] + MultiPoly.var("x")
-    n = 3
-    grids = []
-    for spec in setup["forms"]:
-        g = [[MultiPoly.const(0) for _ in range(n)] for _ in range(n)]
-        for src, i, j in spec:
-            g[i - 1][j - 1] = g[i - 1][j - 1] + poly_str(src)
-        grids.append(g)
-    rows = []
-    for row_spec in setup["b2"]:
-        flat = [MultiPoly.const(0) for _ in range(n * n)]
-        for src, i, j in row_spec:
-            flat[(i - 1) * n + (j - 1)] += poly_str(src)
-        rows.append(flat)
-    ok, msg = verify_transform_table(fam, formulas, grids, rows)
-    assert not ok
+    """A changed formula leaves the exact residual it adds, mod B^2."""
+    for bid, k, extra, want in (
+            ("CD3_01", 0, "x", "residual at position (1,2): -x"),
+            ("CD3_03", 1, "x^2*y-3*a1*z+1/2*y*a7^2-lambda",
+             "residual at position (2,2): 3*a1*z-1/2*a7^2*y+lambda-x^2*y")):
+        setup = tables.SETUPS[bid]
+        n = tables.BASES[bid]["dim"]
+        phi = Matrix(POLY_RING, [[poly_str(s) for s in row]
+                                 for row in setup["aut"]["rows"]])
+        formulas = [poly_str(s) for s in setup["transform"]]
+        formulas[k] = formulas[k] + poly_str(extra)
+        grids = []
+        for spec in setup["forms"]:
+            g = [[MultiPoly.const(0) for _ in range(n)] for _ in range(n)]
+            for src, i, j in spec:
+                g[i - 1][j - 1] = g[i - 1][j - 1] + poly_str(src)
+            grids.append(g)
+        rows = []
+        for row_spec in setup["b2"]:
+            flat = [MultiPoly.const(0) for _ in range(n * n)]
+            for src, i, j in row_spec:
+                flat[(i - 1) * n + (j - 1)] += poly_str(src)
+            rows.append(flat)
+        assert verify_transform_table(phi, formulas, grids, rows) == (
+            False, want)
 
 
 def test_aut_group_fp_closure():

@@ -129,9 +129,26 @@ def test_variables():
     assert variables(parse("3/4")) == set()
 
 
-def test_hash_agrees_with_equality():
+def test_constructor_normalises_monomials():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    p = MultiPoly({(("y", 1), ("x", 1), ("y", 2), ("z", 0)): 2,
+                   (("x", 1), ("y", 3)): Fraction(1, 2),
+                   (("z", 0),): 3, (("x", 0), ("y", 1)): -1, (): 0})
+    assert p == Fraction(5, 2) * x * y ** 3 - y + 3
+    assert p.terms == {(("x", 1), ("y", 3)): Fraction(5, 2),
+                       (("y", 1),): Fraction(-1), (): Fraction(3)}
+    assert repr(p) == "5/2*x*y^3-y+3"
+    assert not MultiPoly({(("x", 1),): 1, (("x", 1), ("y", 0)): -1})
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            MultiPoly({(("x", bad),): 1})
+
+
+def test_hash_agrees_with_equality():
+    x, y, z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
     pairs = [(x + y - y, x), (x * y - x * y, MultiPoly()),
+             ((x * y) * z, z * (y * x)), (z * (x + y), y * z + x * z),
+             ((z - x) * (y + 1) + x * y, y * z + z - x),
              (MultiPoly.const(1), 1), (MultiPoly.const(Fraction(1, 2)),
                                        Fraction(1, 2)),
              (x * y + 3 - x * y, MultiPoly.const(3)),
