@@ -40,7 +40,7 @@ def _to_field(field, value, env):
     if isinstance(value, str):
         return eval_str(value, field, env)
     if isinstance(value, (int, Fraction)):
-        return field.from_fraction(Fraction(value))
+        return field.from_fraction(value)
     return value
 
 
@@ -173,8 +173,8 @@ def cocycle_string(e) -> str:
     return "+".join(parts)
 
 
-_POOL = tuple(Fraction(k) for k in range(1, 40))
-_LAMBDA_POOL = tuple(Fraction(k) for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+_POOL = tuple(range(1, 40))
+_LAMBDA_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def _admissible(e, values):
@@ -280,9 +280,8 @@ def _params_str(vals):
     return ",".join("%s=%s" % (nm, vals[nm]) for nm in sorted(vals))
 
 
-_COHOMOLOGY_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1), Fraction(2),
-                       Fraction(5))
-_SPECIAL_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1))
+_COHOMOLOGY_LAMBDAS = (0, -1, 1, 2, 5)
+_SPECIAL_LAMBDAS = (0, -1, 1)
 
 
 def _base_cases(bid):

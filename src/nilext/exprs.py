@@ -11,9 +11,8 @@ form). A call ``name(i, j)`` of integer literals evaluates to
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import POLY_RING, MultiPoly
+from .scalars import divide
 
 GREEK = {
     "λ": "lambda", "α": "alpha", "β": "beta", "γ": "gamma",
@@ -102,7 +101,7 @@ class _Parser:
                 raise ValueError("unbalanced parentheses")
             return node
         if isinstance(t, int):
-            return ("num", Fraction(t))
+            return ("num", t)
         if isinstance(t, str) and t not in "+-*/^(),":
             if self.peek() != "(":
                 return ("var", t)
@@ -161,7 +160,7 @@ def eval_field(ast, field, env):
         raise RuntimeError("unknown expression node %r" % (kind,))
     if not b:
         raise ZeroDivisionError("division by zero while evaluating expression")
-    return a / b
+    return divide(a, b)
 
 
 def eval_str(s: str, field, env):

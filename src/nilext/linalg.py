@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .scalars import divide
+
 
 def zero_vec(field, n):
     return [field.zero] * n
@@ -200,7 +202,7 @@ def sparse_rref(field, rows):
             continue
         p = min(row)
         if row[p] != field.one:
-            inv = field.one / row[p]
+            inv = divide(field.one, row[p])
             row = {j: inv * x for j, x in row.items()}
         for prow in pivots.values():
             if p in prow:

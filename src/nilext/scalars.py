@@ -1,14 +1,41 @@
 """Exact scalar arithmetic.
 
-Three coefficient domains: the rationals (stdlib Fraction), the degree-4
-cyclotomic field Q(z) where z is a primitive 12th root of unity (so the
-field contains i = z^3 and the primitive cube root omega = z^4), and the
-prime fields F_p for p in {2, 3, 5, 7}.
+Three coefficient domains: the rationals, the degree-4 cyclotomic field
+Q(z) where z is a primitive 12th root of unity (so the field contains
+i = z^3 and the primitive cube root omega = z^4), and the prime fields F_p
+for p in {2, 3, 5, 7}.
+
+A rational value is a Python int when it is integral and a stdlib Fraction
+when it is not; the coordinates of a Cyc12 follow the same rule. The two
+types compare and hash alike (``2 == Fraction(2)``), and arithmetic on
+Fractions may leave an integral Fraction in a result. Since ``int / int``
+is a float, scalars are divided with ``divide``, never with a bare ``/``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def rational(q):
+    """q, anything Fraction accepts, as an int when it is integral and as a
+    Fraction otherwise."""
+    if q.__class__ is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def divide(a, b):
+    """a / b exactly. Two ints divide to an int or a Fraction, never to a
+    float; other operands use their own division. A Fraction quotient that
+    is integral comes back as an int."""
+    if isinstance(a, int) and isinstance(b, int):
+        q = Fraction(a, b)
+    else:
+        q = a / b
+    return q.numerator if q.__class__ is Fraction and q.denominator == 1 else q
+
 
 # z^4 = z^2 - 1, hence the reduced coordinates of z^k for k = 0..11 on the
 # basis (1, z, z^2, z^3).
@@ -34,7 +61,7 @@ class Cyc12:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(rational, coeffs))
         if len(cs) != 4:
             raise ValueError("Cyc12 needs 4 coordinates, got %d" % len(cs))
         object.__setattr__(self, "coeffs", cs)
@@ -47,7 +74,7 @@ class Cyc12:
 
     @classmethod
     def from_rational(cls, q) -> "Cyc12":
-        return cls((Fraction(q), 0, 0, 0))
+        return _cyc12((rational(q), 0, 0, 0))
 
     @classmethod
     def zpower(cls, k: int) -> "Cyc12":
@@ -80,7 +107,7 @@ class Cyc12:
         other = _as_cyc(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = [Fraction(0)] * 7
+        acc = [0] * 7
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -94,7 +121,7 @@ class Cyc12:
             c1, c3 = c1 - c5, c3 + c5
         if c6:  # z^6 = -1
             c0 = c0 - c6
-        return _cyc12((c0, c1, c2, c3))
+        return _cyc12(tuple(map(rational, (c0, c1, c2, c3))))
 
     __rmul__ = __mul__
 
@@ -102,13 +129,13 @@ class Cyc12:
         """Apply the automorphism z -> z^k (k coprime to 12)."""
         if k % 12 not in (1, 5, 7, 11):
             raise ValueError("z -> z^%d is not an automorphism" % k)
-        acc = [Fraction(0)] * 4
+        acc = [0] * 4
         for j, a in enumerate(self.coeffs):
             if a:
                 for t, s in enumerate(_ZPOW[(j * k) % 12]):
                     if s:
                         acc[t] = acc[t] + a if s > 0 else acc[t] - a
-        return _cyc12(tuple(acc))
+        return _cyc12(tuple(map(rational, acc)))
 
     def inverse(self) -> "Cyc12":
         if not any(self.coeffs):
@@ -118,7 +145,7 @@ class Cyc12:
         if any(norm.coeffs[1:]):
             raise RuntimeError("the norm of %r is not rational" % (self,))
         n = norm.coeffs[0]
-        return _cyc12(tuple(c / n for c in conj.coeffs))
+        return _cyc12(tuple(divide(c, n) for c in conj.coeffs))
 
     def __truediv__(self, other):
         other = _as_cyc(other)
@@ -151,7 +178,7 @@ class Cyc12:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        """A rational element hashes like the Fraction (or int) it equals."""
+        """A rational element hashes like the int or Fraction it equals."""
         if self.is_rational():
             return hash(self.coeffs[0])
         return hash(self.coeffs)
@@ -162,7 +189,7 @@ class Cyc12:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
         if not self.is_rational():
             raise ValueError("element has nonrational part")
         return self.coeffs[0]
@@ -173,7 +200,7 @@ class Cyc12:
 
 def _cyc12(coeffs):
     """A Cyc12 holding the tuple ``coeffs`` as it is. Cyc12's own
-    arithmetic builds its results here: their four coordinates are
+    arithmetic builds its results here: their four coordinates are ints and
     Fractions already, so the public constructor's conversion is skipped."""
     x = object.__new__(Cyc12)
     object.__setattr__(x, "coeffs", coeffs)
@@ -337,7 +364,8 @@ def _prime_field_elements(p):
 _FP = {p: _prime_field_elements(p) for p in (2, 3, 5, 7)}
 
 
-def _fp_from_fraction(q: Fraction, p: int) -> FpElt:
+def _fp_from_fraction(q, p: int) -> FpElt:
+    """The int or Fraction q mod p."""
     if q.denominator % p == 0:
         raise ValueError("%s has no value mod %d" % (q, p))
     return _FP[p][q.numerator * pow(q.denominator, -1, p) % p]
@@ -345,20 +373,21 @@ def _fp_from_fraction(q: Fraction, p: int) -> FpElt:
 
 class RationalField:
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int):
+        return rational(n)
 
-    def from_fraction(self, q) -> Fraction:
-        return Fraction(q)
+    def from_fraction(self, q):
+        return rational(q)
 
     def render(self, x) -> str:
         return str(x)
 
     def random(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return self.from_fraction(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 9)))
 
     def elements(self):
         raise ValueError("Q is infinite")
@@ -407,7 +436,7 @@ class PrimeField:
         return FpElt(n, self.p)
 
     def from_fraction(self, q) -> FpElt:
-        return _fp_from_fraction(Fraction(q), self.p)
+        return _fp_from_fraction(rational(q), self.p)
 
     def render(self, x: FpElt) -> str:
         return "%d mod %d" % (x.v, x.p)

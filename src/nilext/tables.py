@@ -96,7 +96,7 @@ SETUPS = {
         "cd": (1, 2),
         "aut": {
             "rows": (("x", "0", "0"), ("0", "x^2", "0"), ("y", "0", "x^4")),
-            "vars": ("x", "y"), "nonzero": ("x",),
+            "nonzero": ("x",),
         },
         "transform": (
             "x^2*(x*a1+y*a6)", "x^2*(x*a2+y*a5)", "x^4*(x*a3+y*a7)",
@@ -112,7 +112,7 @@ SETUPS = {
         "cd": (1, 2),
         "aut": {
             "rows": (("1", "0", "0"), ("0", "1", "0"), ("x", "0", "1")),
-            "vars": ("x",), "nonzero": (),
+            "nonzero": (),
         },
         "transform": (
             "a1+x*a6", "a2+x*a5", "a3+x*a7", "a4+x*a7", "a5", "a6", "a7",
@@ -127,7 +127,7 @@ SETUPS = {
         "cd": (1, 2, 3),
         "aut": {
             "rows": (("x", "0", "0"), ("y", "x^2", "0"), ("z", "x*y", "x^3")),
-            "vars": ("x", "y", "z"), "nonzero": ("x",),
+            "nonzero": ("x",),
         },
         "transform": (
             "(a1*x^2+(a2+a3)*x*y+a5*y^2+a6*x*z+a7*y*z)*x",
@@ -151,7 +151,7 @@ SETUPS = {
         "aut": {
             "rows": (("x", "0", "0"), ("y", "x^2", "0"),
                      ("z", "(lambda+1)*x*y", "x^3")),
-            "vars": ("x", "y", "z"), "nonzero": ("x",),
+            "nonzero": ("x",),
         },
         "transform": (
             "(x^3/3)*(3*x*a1-y*(2*a5+a6)-3*z*a7)",

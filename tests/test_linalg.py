@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from nilext import catalog, orbits, tables
 from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
                            solve_linear, sparse_rref, vec_scale, vec_sub,
                            zero_vec)
-from nilext.scalars import FIELDS
+from nilext.scalars import FIELDS, QQ, Cyc12, FpElt, divide
 
 
 def dense_kernel(f, ncols, rows):
@@ -102,6 +103,78 @@ def test_inverse_round_trip():
         found += 1
         assert m * m.inverse() == Matrix.identity(f, 4)
         assert m.inverse() * m == Matrix.identity(f, 4)
+
+
+class _FractionQ:
+    """Q with every scalar a Fraction, as Q was before integral values
+    became ints: the reference of the Q oracle below."""
+
+    name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+
+def _q_entry(rng):
+    """A Q scalar: zero, a small int or a fraction."""
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.7:
+        return rng.randint(-9, 9)
+    return QQ.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(2, 7)))
+
+
+def _assert_q_entries(got, want):
+    """Entry by entry equal, and every entry an int or a Fraction: never a
+    float, never a bool."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) in (int, Fraction) and x == y
+
+
+def test_q_results_match_all_fraction_reference():
+    """rref, inverse, kernel_basis and solve_linear over Q, on seeded
+    matrices of int and fractional entries, against the same matrices with
+    every entry a Fraction over _FractionQ."""
+    rng = random.Random(31)
+    fq = _FractionQ()
+    seen = {"inverse": 0, "singular": 0, "solved": 0, "unsolvable": 0}
+    for _ in range(300):
+        r = rng.randrange(1, 7)
+        c = r if rng.random() < 0.5 else rng.randrange(1, 7)
+        rows = [[_q_entry(rng) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:  # a dependent row
+            k = _q_entry(rng)
+            rows[-1] = [k * x for x in rows[0]]
+        b = [_q_entry(rng) for _ in range(r)]
+        m = Matrix(QQ, rows)
+        ref = Matrix(fq, [[Fraction(x) for x in row] for row in rows])
+        (got, pivots), (want, ref_pivots) = m.rref(), ref.rref()
+        assert pivots == ref_pivots and len(got) == len(want)
+        for row, ref_row in zip(got, want):
+            _assert_q_entries(row, ref_row)
+        ker = kernel_basis(QQ, c, [dict(enumerate(row)) for row in m.rows])
+        ref_ker = kernel_basis(fq, c, [dict(enumerate(row))
+                                       for row in ref.rows])
+        assert len(ker) == len(ref_ker) == c - len(pivots)
+        for v, w in zip(ker, ref_ker):
+            _assert_q_entries(v, w)
+        x = solve_linear(m, b)
+        y = solve_linear(ref, [Fraction(v) for v in b])
+        assert (x is None) == (y is None)
+        if x is not None:
+            _assert_q_entries(x, y)
+            _assert_q_entries(m.apply(x), b)
+        seen["solved" if x is not None else "unsolvable"] += 1
+        if r == c:
+            inv, ref_inv = m.try_inverse(), ref.try_inverse()
+            assert (inv is None) == (ref_inv is None)
+            if inv is not None:
+                for row, ref_row in zip(inv.rows, ref_inv.rows):
+                    _assert_q_entries(row, ref_row)
+                assert m * inv == Matrix.identity(QQ, r)
+            seen["inverse" if inv is not None else "singular"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_subspace_operations():
@@ -210,7 +283,7 @@ def _reference_rref(m):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.one / rows[r][c]
+        inv = divide(f.one, rows[r][c])
         rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -222,6 +295,16 @@ def _reference_rref(m):
     return rows[:r], pivots
 
 
+_SCALAR_TYPES = {"Q": (int, Fraction), "QZ12": (Cyc12,)}
+
+
+def _same_scalar_type(f, x, y):
+    """Both entries are of the field's element types: FpElt over F_p, Cyc12
+    over QZ12, and int or Fraction (never bool or float) over Q."""
+    types = _SCALAR_TYPES.get(f.name, (FpElt,))
+    return all(type(v) in types for v in (x, y))
+
+
 def _assert_rref_matches_reference(m):
     rows, pivots = m.rref()
     ref_rows, ref_pivots = _reference_rref(m)
@@ -230,7 +313,7 @@ def _assert_rref_matches_reference(m):
     for row, ref in zip(rows, ref_rows):
         assert len(row) == len(ref)
         for x, y in zip(row, ref):
-            assert type(x) is type(y) and x == y
+            assert _same_scalar_type(m.field, x, y) and x == y
 
 
 def _random_sparse_matrix(f, rng):

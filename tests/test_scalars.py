@@ -16,7 +16,8 @@ from nilext.extensions import LineClass, cohomology
 from nilext.linalg import Matrix
 from nilext.orbits import extension_of_line, iso_search_fp, orbit_census_fp
 from nilext.poly import POLY_RING, MultiPoly
-from nilext.scalars import FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField
+from nilext.scalars import (FIELDS, QQ, QZ12, Cyc12, FpElt, PrimeField,
+                            _cyc12, divide)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -38,7 +39,7 @@ def test_field_axioms_random():
             assert a + (-a) == f.zero
             assert bool(a) == (a != f.zero)
             if b != f.zero:
-                assert b * (f.one / b) == f.one
+                assert b * divide(f.one, b) == f.one
 
 
 def test_parse_render_round_trip():
@@ -104,6 +105,49 @@ def test_hash_agrees_with_equality():
                                lambda s, t: s * t, lambda s, t: s / t):
                         with pytest.raises(TypeError):
                             op(x, FpElt(1, q))
+    # A Cyc12 whose integral coordinates are Fractions, as Fraction sums
+    # leave them, equals and hashes like the one with int coordinates, and a
+    # rational Cyc12 like the int and the Fraction it equals.
+    ints = Cyc12((1, 2, 0, 0))
+    half = Cyc12((Fraction(1, 2), 1, 0, 0))
+    fracs = [_cyc12((Fraction(1), Fraction(2), Fraction(0), Fraction(0))),
+             half + half]
+    assert ints.coeffs == (1, 2, 0, 0)
+    assert all(type(c) is int for c in ints.coeffs)
+    assert all(type(c) is Fraction for c in fracs[0].coeffs)
+    two = Cyc12.from_rational(2)
+    twos = [2, Fraction(2), Cyc12.from_rational(Fraction(2))]
+    for a, others in ((ints, fracs), (two, twos)):
+        for b in others:
+            assert a == b and b == a and hash(a) == hash(b)
+            assert b in {a} and a in {b} and len({a, b}) == 1
+            assert {a: "x"}[b] == "x" and {b: "x"}[a] == "x"
+    assert ints != Cyc12((1, 2, 0, 1)) and two != 3
+
+
+def test_rationals_are_ints_when_integral():
+    """Q scalars and Cyc12 coordinates are ints when integral and Fractions
+    otherwise; divide never returns a float."""
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for q in (3, Fraction(6, 2), "12/4", True):
+        assert type(QQ.from_fraction(q)) is int
+    assert type(QQ.from_int(True)) is int
+    assert QQ.from_fraction("-3/6") == Fraction(-1, 2)
+    cases = [(6, 3, 2), (1, 3, Fraction(1, 3)), (-4, 6, Fraction(-2, 3)),
+             (Fraction(3, 2), Fraction(1, 2), 3), (2, Fraction(2, 3), 3),
+             (Fraction(1, 2), 3, Fraction(1, 6))]
+    for a, b, q in cases:
+        got = divide(a, b)
+        assert got == q and type(got) is type(q)
+    with pytest.raises(ZeroDivisionError):
+        divide(1, 0)
+    x = Cyc12((Fraction(4, 2), Fraction(1, 2), 0, Fraction(-6, 3)))
+    assert [type(c) for c in x.coeffs] == [int, Fraction, int, int]
+    for y in (x * x, x.galois(5), x.inverse(), x * x.inverse()):
+        assert all(type(c) in (int, Fraction) and
+                   (type(c) is int or c.denominator != 1) for c in y.coeffs)
+    assert (x * x.inverse()).coeffs == (1, 0, 0, 0)
 
 
 def test_field_elements_pickle_and_copy():
@@ -262,8 +306,9 @@ print("ok")
 
 
 def test_fast_modules_pass_under_python_O():
-    """The polynomial and linear algebra tests pass with assert statements
-    stripped from the library; pytest still rewrites the tests' own."""
+    """The polynomial, linear algebra, catalog and extension tests pass with
+    assert statements stripped from the library; pytest still rewrites the
+    tests' own."""
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.join(here, os.pardir)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -271,7 +316,8 @@ def test_fast_modules_pass_under_python_O():
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_poly.py", "tests/test_linalg.py"],
+         "tests/test_poly.py", "tests/test_linalg.py", "tests/test_catalog.py",
+         "tests/test_extensions.py"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0 and " passed" in out.stdout, (
         out.stdout + out.stderr)
@@ -347,6 +393,39 @@ def test_cyc12_products_match_schoolbook_reduction():
             for j in range(4):
                 subst[j * k] += x[j]
             assert Cyc12(x).galois(k).coeffs == _reduce_mod_cyclotomic(subst)
+
+
+# The `/` sites in src/nilext outside scalars.divide, each with an operand
+# that cannot be an int, so that the site never divides two ints.
+_NON_INT_DIVISIONS = {
+    ("poly.py", "__truediv__", "Fraction(1) / c"),  # a Fraction over c
+}
+
+
+def test_no_float_division_in_src():
+    """int / int is a float, so every scalar division in the library goes
+    through scalars.divide: any other `/` (or `/=`) must be listed in
+    _NON_INT_DIVISIONS, and every listed site must still be there."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nilext")
+    files = [name for name in sorted(os.listdir(src)) if name.endswith(".py")]
+    sites = set()
+
+    def walk(node, name, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.Div):
+            sites.add((name, func, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, name, func)
+
+    for name in files:
+        with open(os.path.join(src, name)) as fh:
+            walk(ast.parse(fh.read(), name), name, None)
+    assert len(files) >= 12
+    assert ("scalars.py", "divide", "a / b") in sites
+    assert {s for s in sites if s[:2] != ("scalars.py", "divide")} \
+        == _NON_INT_DIVISIONS
 
 
 def test_no_assert_in_src():
