@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import identities
-from .linalg import (Matrix, Subspace, echelon_mod_p, kernel_basis,
-                     projective_points, reduce_mod_p, sparse_rref, zero_vec)
+from .linalg import (Matrix, Subspace, add_row, kernel_basis,
+                     projective_points, sparse_rref, zero_vec)
 
 
 class Algebra:
@@ -302,7 +302,9 @@ def element_profile(a: Algebra):
     a complement of Ann(A) have each type (x^2 = 0, x in A^2 + Ann(A),
     dim xA, dim Ax), as sorted (type, count) pairs; memoised in a._cache.
     The complement is spanned by the e_c whose column c is not a pivot of
-    Ann(A)'s basis, and the counts run on ints mod p.
+    Ann(A)'s basis. x^2 and the rows x e_j and e_j x are summed from the
+    nonzero structure constants e_c e_j and e_j e_c of the free columns c,
+    and the dimensions are ranks from sparse_rref.
 
     A type depends only on x mod Ann(A), and scaling x keeps it. An
     isomorphism A -> B maps Ann(A) onto Ann(B) and A^2 onto B^2, so it
@@ -310,37 +312,42 @@ def element_profile(a: Algebra):
     isomorphic algebras have equal profiles."""
     if "element_profile" in a._cache:
         return a._cache["element_profile"]
-    p, n = a.field.p, a.dim
+    f, n = a.field, a.dim
+    z, elts = f.zero, f.elements()
     ann = a.annihilator("both")
     free = [c for c in range(n) if c not in ann.pivots]
-    span = echelon_mod_p([[c.v for c in v]
-                          for v in a.square().basis + ann.basis], p)
+    span = a.square().add(ann)
     left = {c: [] for c in free}  # c -> (j, k, (e_c e_j)_k) over nonzeros
     right = {c: [] for c in free}  # c -> (j, k, (e_j e_c)_k) over nonzeros
     for (i, j), terms in a._nonzero.items():
         for k, s in terms:
             if i in left:
-                left[i].append((j, k, s.v))
+                left[i].append((j, k, s))
             if j in right:
-                right[j].append((i, k, s.v))
+                right[j].append((i, k, s))
     counts = {}
-    for t in projective_points(p, len(free)):
-        x = [0] * n
+    for t in projective_points(f.p, len(free)):
+        x = [z] * n
         for c, tc in zip(free, t):
-            x[c] = tc
-        sq = [0] * n  # x^2
-        xa = {}  # j -> x e_j, over the j that some term reaches
+            x[c] = elts[tc]
+        sq = {}  # k -> (x^2)_k
+        xa = {}  # j -> x e_j as {k: coefficient}, over the j some term reaches
         ax = {}  # j -> e_j x, likewise
-        for c, tc in zip(free, t):
+        for c in free:
+            tc = x[c]
             if tc:
                 for j, k, s in left[c]:
-                    xa.setdefault(j, [0] * n)[k] += tc * s
-                    sq[k] += tc * s * x[j]
+                    row = xa.setdefault(j, {})
+                    ts = tc * s
+                    row[k] = row.get(k, z) + ts
+                    if x[j]:
+                        sq[k] = sq.get(k, z) + ts * x[j]
                 for j, k, s in right[c]:
-                    ax.setdefault(j, [0] * n)[k] += tc * s
-        kind = (not any(v % p for v in sq), not any(reduce_mod_p(span, x, p)),
-                len(echelon_mod_p(xa.values(), p)),
-                len(echelon_mod_p(ax.values(), p)))
+                    row = ax.setdefault(j, {})
+                    row[k] = row.get(k, z) + tc * s
+        kind = (not any(sq.values()), span.contains(x),
+                len(sparse_rref(f, xa.values())),
+                len(sparse_rref(f, ax.values())))
         counts[kind] = counts.get(kind, 0) + 1
     a._cache["element_profile"] = ann.dim, tuple(sorted(counts.items()))
     return a._cache["element_profile"]
@@ -377,30 +384,28 @@ def generating_scheme(a: Algebra):
     """
     if "scheme" in a._cache:
         return a._cache["scheme"]
-    span = a.subspace([])
+    f = a.field
+    rows = {}  # the values' span, as add_row pivot rows
     steps = []
     values = []
     num_gens = 0
-    while span.dim < a.dim:
-        picked = next(i for i in range(a.dim)
-                      if not span.contains(a.basis_vector(i)))
+    while len(rows) < a.dim:
+        picked = next(i for i in range(a.dim) if add_row(f, rows, {i: f.one}))
         steps.append(("gen", num_gens))
         num_gens += 1
         values.append(a.basis_vector(picked))
-        span = a.subspace(values)
         grew = True
-        while grew and span.dim < a.dim:
+        while grew and len(rows) < a.dim:
             grew = False
             for x, y in product(range(len(steps)), repeat=2):
                 v = a.multiply(values[x], values[y])
-                if not span.contains(v):
+                if add_row(f, rows, dict(enumerate(v))):
                     steps.append(("mul", x, y))
                     values.append(v)
-                    span = a.subspace(values)
                     grew = True
-                    if span.dim == a.dim:
+                    if len(rows) == a.dim:
                         break
-    inv = Matrix.from_cols(a.field, values).inverse()
+    inv = Matrix.from_cols(f, values).inverse()
     coords = [[[(k, c) for k, c in enumerate(inv.apply(a.multiply(x, y))) if c]
                for y in values] for x in values]
     a._cache["scheme"] = num_gens, steps, values, inv, coords

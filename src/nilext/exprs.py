@@ -11,6 +11,8 @@ form). A call ``name(i, j)`` of integer literals evaluates to
 
 from __future__ import annotations
 
+from functools import cache
+
 from .poly import POLY_RING, MultiPoly
 from .scalars import divide
 
@@ -115,7 +117,10 @@ class _Parser:
         raise ValueError("unexpected token %r" % (t,))
 
 
+@cache
 def parse(s: str):
+    """The syntax tree of s, as nested tuples; memoised, as nothing
+    mutates a tree."""
     p = _Parser(_tokens(s))
     node = p.expr()
     if p.peek() is not None:

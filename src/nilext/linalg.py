@@ -1,14 +1,14 @@
 """Exact linear algebra over the scalar fields: dense matrices, subspaces
-and kernels, all reduced by one elimination, sparse_rref on sparse rows
-{column: coefficient}.
+and kernels, all reduced by one elimination on sparse rows {column:
+coefficient}.
+
+The elimination keeps pivot rows {pivot column: row} in reduced form:
+add_row extends them by one row and says whether it was new; reduce_row
+takes off a row's part along them. sparse_rref is add_row over many rows.
 
 Vectors are plain lists of field elements. Subspaces are canonicalized to
 reduced row echelon bases, so two subspaces are equal exactly when their
 representations are equal.
-
-echelon_mod_p and reduce_mod_p are the int fast path: they eliminate
-residues mod p held as plain ints, where the F_p searches would otherwise
-build a field element per entry.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def vec_sub(a, b):
 
 def vec_scale(c, a):
     return [c * x for x in a]
-
-
-def is_zero_vec(field, a):
-    return not any(a)
 
 
 class Matrix:
@@ -174,40 +170,54 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
+def _subtract(row, m, prow):
+    """row -= m * prow in place, keeping nonzeros only."""
+    for j, y in prow.items():
+        v = row[j] - m * y if j in row else -(m * y)
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def reduce_row(pivots, row):
+    """A new sparse row: row less its part along the pivot rows, over its
+    nonzero entries; empty exactly when row lies in their span. Each pivot
+    row is 0 at the other pivots, so one pass over row's pivot columns
+    clears them all."""
+    row = {c: x for c, x in row.items() if x}
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row[c], pivots[c])
+    return row
+
+
+def add_row(field, pivots, row):
+    """Extend the pivot rows {pivot column: row} in place by a sparse row;
+    returns whether it was not already in their span. What reduce_row
+    leaves is scaled to 1 at its least column, its pivot, which is cleared
+    from the other rows. So every pivot row is 1 at its own pivot, 0 at the
+    others and 0 left of it: sorted by pivot, the rows are in rref."""
+    row = reduce_row(pivots, row)
+    if not row:
+        return False
+    p = min(row)
+    if row[p] != field.one:
+        inv = divide(field.one, row[p])
+        row = {j: inv * x for j, x in row.items()}
+    for prow in pivots.values():
+        if p in prow:
+            _subtract(prow, prow[p], row)
+    pivots[p] = row
+    return True
+
+
 def sparse_rref(field, rows):
-    """Exact elimination on sparse rows {column: coefficient}; returns the
-    reduced pivot rows as {pivot column: row}, so the rank is their number.
-
-    Each row is reduced by the pivot rows found so far, at their pivot
-    columns; if anything is left, its least column becomes a new pivot, the
-    row is scaled to 1 there and that column is cleared from the earlier
-    pivot rows. Every pivot row then is 1 at its own pivot, 0 at the other
-    pivots and 0 left of its pivot: sorted by pivot, the rows are the
-    reduced row echelon form of the input."""
+    """Exact elimination on sparse rows {column: coefficient}: the reduced
+    pivot rows of add_row over all of them, as {pivot column: row}, so the
+    rank is their number."""
     pivots = {}
-
-    def subtract(row, m, prow):  # row -= m * prow, keeping nonzeros only
-        for j, y in prow.items():
-            v = row[j] - m * y if j in row else -(m * y)
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
     for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        for c in [c for c in row if c in pivots]:
-            subtract(row, row[c], pivots[c])
-        if not row:
-            continue
-        p = min(row)
-        if row[p] != field.one:
-            inv = divide(field.one, row[p])
-            row = {j: inv * x for j, x in row.items()}
-        for prow in pivots.values():
-            if p in prow:
-                subtract(prow, prow[p], row)
-        pivots[p] = row
+        add_row(field, pivots, row)
     return pivots
 
 
@@ -236,31 +246,6 @@ def projective_points(p, k):
             for rest in product(range(p), repeat=k - z - 1)]
 
 
-def echelon_mod_p(rows, p):
-    """Int rows mod p in echelon form, as (pivot, row) pairs with row 1 at
-    its pivot and 0 at the pivots before it; their number is the rank."""
-    basis = []
-    for v in rows:
-        v = reduce_mod_p(basis, v, p)
-        for lead, x in enumerate(v):
-            if x:
-                inv = pow(x, -1, p)
-                basis.append((lead, [y * inv % p for y in v]))
-                break
-    return basis
-
-
-def reduce_mod_p(basis, v, p):
-    """The int vector v mod p less its part along an echelon_mod_p basis:
-    zero exactly when v lies in the span."""
-    v = [x % p for x in v]
-    for lead, row in basis:
-        c = v[lead]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return v
-
-
 def solve_linear(m: Matrix, b):
     """A particular solution of m x = b, or None: sparse_rref of [m | b]
     has a pivot in the last column exactly when there is none."""
@@ -283,21 +268,25 @@ class Subspace:
         self.ambient = ambient
         # pivots[i] is the leading column of basis[i].
         self.basis, self.pivots = Matrix(field, vectors).rref()
+        self._rows = None  # the basis as sparse pivot rows, on first use
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
+    def reduce(self, vec):
+        """vec less its part along the subspace, as a sparse row {column:
+        coefficient}: empty exactly when vec lies in the subspace."""
         if len(vec) != self.ambient:
             raise ValueError("vector length %d, not %d"
                              % (len(vec), self.ambient))
-        f = self.field
-        v = list(vec)
-        for b, lead in zip(self.basis, self.pivots):
-            if v[lead]:
-                v = vec_sub(v, vec_scale(v[lead], b))
-        return is_zero_vec(f, v)
+        if self._rows is None:
+            self._rows = {p: {j: x for j, x in enumerate(b) if x}
+                          for b, p in zip(self.basis, self.pivots)}
+        return reduce_row(self._rows, dict(enumerate(vec)))
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
 
     def _same_ambient(self, other):
         if self.ambient != other.ambient:
@@ -322,19 +311,18 @@ class Subspace:
 
 
 def complement_reps(u: Subspace, w: Subspace):
-    """Vectors of u extending a basis of w to one of u (so: coset reps).
+    """Vectors of u extending a basis of w to one of u (so: coset reps):
+    the vectors of u's basis, in order, that add_row finds new against the
+    pivot rows of w and of the vectors kept before them.
 
     Requires w to be a subspace of u; returns dim u - dim w vectors.
     """
     u._same_ambient(w)
     if not all(u.contains(b) for b in w.basis):
         raise ValueError("second argument is not contained in the first")
-    reps = []
-    cur = w
-    for b in u.basis:
-        if not cur.contains(b):
-            reps.append(list(b))
-            cur = cur.add(Subspace(u.field, u.ambient, [b]))
-    if cur != u:
+    rows = sparse_rref(u.field, map(dict, map(enumerate, w.basis)))
+    reps = [list(b) for b in u.basis
+            if add_row(u.field, rows, dict(enumerate(b)))]
+    if len(rows) != u.dim:
         raise RuntimeError("coset representatives do not span the subspace")
     return reps

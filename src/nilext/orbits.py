@@ -14,7 +14,7 @@ from .extensions import (BilinearForm, CohomologyBasis, LineClass,
                          cd_cocycle_space, central_extension, classify_line,
                          cohomology)
 from .linalg import (Matrix, Subspace, kernel_basis, projective_points,
-                     solve_linear, vec_scale, vec_sub)
+                     solve_linear)
 from .poly import POLY_RING, MultiPoly
 from .scalars import PrimeField
 
@@ -52,13 +52,11 @@ def verify_transform_table(phi: Matrix, formulas, nabla_grids, b2_rows):
     coeff_vars = [MultiPoly.var("a%d" % (k + 1)) for k in range(len(grids))]
     residual = (phi.transpose() * combo(coeff_vars) * phi
                 - combo(formulas)).flatten()
-    b2 = Subspace(POLY_RING, n * n, b2_rows)
-    for row, lead in zip(b2.basis, b2.pivots):
-        residual = vec_sub(residual, vec_scale(residual[lead], row))
-    for k, x in enumerate(residual):
-        if x:
-            return False, "residual at position (%d,%d): %r" % (
-                k // n + 1, k % n + 1, x)
+    rest = Subspace(POLY_RING, n * n, b2_rows).reduce(residual)
+    if rest:
+        k = min(rest)
+        return False, "residual at position (%d,%d): %r" % (
+            k // n + 1, k % n + 1, rest[k])
     return True, "exact match mod coboundaries"
 
 

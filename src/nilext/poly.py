@@ -143,10 +143,6 @@ class MultiPoly:
             acc = acc + t
         return acc
 
-    def degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms),
-                   default=0)
-
     def __repr__(self):
         """Terms in descending lexicographic order of their exponent vectors
         over the sorted names that occur."""

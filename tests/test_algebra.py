@@ -2,9 +2,10 @@ import random
 from itertools import product
 
 from nilext import catalog, tables
-from nilext.algebra import (Algebra, eval_tree, fingerprint, first_difference,
-                            generating_scheme, is_homomorphism)
-from nilext.linalg import Matrix, Subspace
+from nilext.algebra import (Algebra, element_profile, eval_tree, fingerprint,
+                            first_difference, generating_scheme,
+                            is_homomorphism)
+from nilext.linalg import Matrix, Subspace, projective_points, zero_vec
 from nilext.scalars import FIELDS, QQ
 from test_linalg import dense_kernel
 from test_scalars import roots_of_unity
@@ -244,6 +245,87 @@ def test_generating_scheme_spans():
         assert eval_tree(a, steps, gens) == values
         shapes.add((f.name, num_gens, len(steps) - num_gens))
     assert len(shapes) >= 8
+
+
+def _reference_scheme(a):
+    """generating_scheme's (num_gens, steps, values) by the same greedy
+    loop, with a new Subspace of the values after every value it keeps."""
+    span = a.subspace([])
+    steps, values, num_gens = [], [], 0
+    while span.dim < a.dim:
+        picked = next(i for i in range(a.dim)
+                      if not span.contains(a.basis_vector(i)))
+        steps.append(("gen", num_gens))
+        num_gens += 1
+        values.append(a.basis_vector(picked))
+        span = a.subspace(values)
+        grew = True
+        while grew and span.dim < a.dim:
+            grew = False
+            for x, y in product(range(len(steps)), repeat=2):
+                v = a.multiply(values[x], values[y])
+                if not span.contains(v):
+                    steps.append(("mul", x, y))
+                    values.append(v)
+                    span = a.subspace(values)
+                    grew = True
+                    if span.dim == a.dim:
+                        break
+    return num_gens, steps, values
+
+
+def _random_fp_tables(seed, count):
+    """Seeded tables of dims 2-5 over F2, F3, F5 and F7, at most 3,125
+    points of F_p^n each: strictly triangular (so nilpotent) ones and
+    unrestricted ones in turn."""
+    rng = random.Random(seed)
+    out = []
+    for name in ("F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for t in range(count):
+            n = rng.choice([n for n in range(2, 6) if f.p ** n <= 3125])
+            out.append(Algebra(f, [[[f.random(rng) if (t % 2 or k > max(i, j))
+                                     and rng.random() < 0.5 else f.zero
+                                     for k in range(n)] for j in range(n)]
+                                   for i in range(n)]))
+    return out
+
+
+def test_generating_scheme_matches_rebuild_loop():
+    samples = _scheme_samples() + _random_fp_tables(39, 20)
+    for a in samples:
+        assert generating_scheme(a)[:3] == _reference_scheme(a)
+    assert {a.field.name for a in samples} == {"Q", "F2", "F3", "F5", "F7"}
+
+
+def _reference_element_profile(a):
+    """element_profile from dense vectors: x^2, xA and Ax by a.multiply,
+    membership by Subspace.contains and dimensions by Matrix.rank."""
+    f, n = a.field, a.dim
+    ann = a.annihilator("both")
+    free = [c for c in range(n) if c not in ann.pivots]
+    span = a.subspace(a.square().basis + ann.basis)
+    basis = [a.basis_vector(j) for j in range(n)]
+    counts = {}
+    for t in projective_points(f.p, len(free)):
+        x = zero_vec(f, n)
+        for c, tc in zip(free, t):
+            x[c] = f.from_int(tc)
+        kind = (not any(a.multiply(x, x)), span.contains(x),
+                Matrix(f, [a.multiply(x, e) for e in basis]).rank(),
+                Matrix(f, [a.multiply(e, x) for e in basis]).rank())
+        counts[kind] = counts.get(kind, 0) + 1
+    return ann.dim, tuple(sorted(counts.items()))
+
+
+def test_element_profile_matches_dense_reference():
+    kinds = set()
+    for a in _random_fp_tables(40, 10):
+        profile = element_profile(a)
+        assert profile == _reference_element_profile(a)
+        kinds.update(kind for kind, _ in profile[1])
+    assert {kind[:2] for kind in kinds} == {(x, y) for x in (False, True)
+                                            for y in (False, True)}
 
 
 def test_eval_tree_forms_each_product_once():

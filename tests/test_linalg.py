@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nilext import catalog, orbits, tables
-from nilext.linalg import (Matrix, Subspace, complement_reps, kernel_basis,
-                           solve_linear, sparse_rref, vec_scale, vec_sub,
-                           zero_vec)
+from nilext.linalg import (Matrix, Subspace, add_row, complement_reps,
+                           kernel_basis, reduce_row, solve_linear, sparse_rref,
+                           vec_scale, vec_sub, zero_vec)
 from nilext.scalars import FIELDS, QQ, Cyc12, FpElt, divide
 
 
@@ -221,6 +221,44 @@ def test_complement_reps():
     assert span.dim == 3
 
 
+def _reference_complement_reps(u, w):
+    """complement_reps by a greedy loop with membership by the dense rescan
+    and a new Subspace after every vector it keeps."""
+    reps, cur = [], w
+    for b in u.basis:
+        if not _reference_contains(cur, b):
+            reps.append(list(b))
+            cur = cur.add(Subspace(u.field, u.ambient, [b]))
+    return reps
+
+
+def _random_combination(f, rng, vecs, n):
+    v = zero_vec(f, n)
+    for b in vecs:
+        c = f.random(rng)
+        v = [x + c * y for x, y in zip(v, b)]
+    return v
+
+
+def test_complement_reps_matches_rebuild_loop_random():
+    rng = random.Random(43)
+    dims = set()
+    for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for _ in range(12 if name == "QZ12" else 30):
+            n = rng.randrange(1, 8)
+            u = Subspace(f, n, [[f.random(rng) if rng.random() < 0.6
+                                 else f.zero for _ in range(n)]
+                                for _ in range(rng.randrange(n + 1))])
+            w = Subspace(f, n, [_random_combination(f, rng, u.basis, n)
+                                for _ in range(rng.randrange(u.dim + 1))])
+            reps = complement_reps(u, w)
+            assert reps == _reference_complement_reps(u, w)
+            assert len(reps) == u.dim - w.dim
+            dims.add((u.dim, w.dim))
+    assert len(dims) >= 12
+
+
 def test_flatten_unflatten():
     f = FIELDS["Q"]
     m = Matrix(f, [[f.from_int(1), f.from_int(2)],
@@ -399,3 +437,64 @@ def test_rref_matches_dense_reference_on_iso_search(monkeypatch):
             and len(seen) > 100)
     for m in seen:
         _assert_rref_matches_reference(m)
+
+
+def _assert_reduced_pivot_rows(f, pivots):
+    """Each pivot row is 1 at its own pivot, 0 left of it and at the other
+    pivots, and stores no zero."""
+    for p, row in pivots.items():
+        assert min(row) == p and row[p] == f.one and all(row.values())
+        assert not any(q in row for q in pivots if q != p)
+
+
+def test_add_row_and_reduce_row_cases():
+    rng = random.Random(44)
+    for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for _ in range(8 if name == "QZ12" else 25):
+            m = _random_sparse_matrix(f, rng)
+            pivots = {}
+            for r in m.rows:
+                row = dict(enumerate(r))
+                rank = len(pivots)
+                new = add_row(f, pivots, row)
+                assert row == dict(enumerate(r))
+                assert len(pivots) == rank + new
+                _assert_reduced_pivot_rows(f, pivots)
+                before = {p: dict(prow) for p, prow in pivots.items()}
+                inside = _random_combination(f, rng, [r] + [
+                    [prow.get(j, f.zero) for j in range(m.ncols)]
+                    for prow in pivots.values()], m.ncols)
+                for old in (row, {}, {j: f.zero for j in range(m.ncols)},
+                            dict(enumerate(inside))):
+                    assert reduce_row(pivots, old) == {}
+                    assert not add_row(f, pivots, old)
+                    assert pivots == before
+            assert pivots == sparse_rref(f, map(dict, map(enumerate, m.rows)))
+
+
+def _reference_reduce(sub, vec):
+    """vec less sub.basis[i] times its entry at sub.pivots[i], row by row,
+    on dense vectors; the nonzero entries left."""
+    v = list(vec)
+    for b, lead in zip(sub.basis, sub.pivots):
+        v = vec_sub(v, vec_scale(v[lead], b))
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def test_subspace_reduce_matches_dense_reduction():
+    rng = random.Random(45)
+    for name in ("Q", "QZ12", "F2", "F3", "F5", "F7"):
+        f = FIELDS[name]
+        for _ in range(8 if name == "QZ12" else 25):
+            m = _random_sparse_matrix(f, rng)
+            sub = Subspace(f, m.ncols, m.rows)
+            for v in [[f.random(rng) for _ in range(m.ncols)],
+                      _random_combination(f, rng, m.rows, m.ncols),
+                      zero_vec(f, m.ncols)] + m.rows:
+                rest = sub.reduce(v)
+                assert rest == _reference_reduce(sub, v)
+                assert sub.contains(v) == (not rest) == _reference_contains(
+                    sub, v)
+            with pytest.raises(ValueError):
+                sub.reduce(zero_vec(f, m.ncols + 1))

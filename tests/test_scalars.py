@@ -306,9 +306,9 @@ print("ok")
 
 
 def test_fast_modules_pass_under_python_O():
-    """The polynomial, linear algebra, catalog and extension tests pass with
-    assert statements stripped from the library; pytest still rewrites the
-    tests' own."""
+    """The polynomial, linear algebra, catalog, extension and CLI tests pass
+    with assert statements stripped from the library; pytest still rewrites
+    the tests' own."""
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.join(here, os.pardir)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -317,7 +317,7 @@ def test_fast_modules_pass_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_poly.py", "tests/test_linalg.py", "tests/test_catalog.py",
-         "tests/test_extensions.py"],
+         "tests/test_extensions.py", "tests/test_cli.py"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0 and " passed" in out.stdout, (
         out.stdout + out.stderr)
