@@ -1,4 +1,8 @@
-"""Catalog instantiation, parameter sampling, and the verification pipeline."""
+"""Catalog instantiation, parameter sampling, and the verification pipeline.
+
+A verification scope is registered by adding its check function, called as
+check(samples, max_search, seed) and returning CheckRecords, to
+_SCOPE_CHECKS; SCOPES and the CLI's --scope choices follow that table."""
 
 import json
 from contextlib import contextmanager
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tables
-from .algebra import Algebra, first_difference
+from .algebra import Algebra
 from .exprs import eval_str, field_env, poly_str
 from .extensions import BilinearForm, central_extension, cohomology
 from .identities import ALIA_NAMES, CD_NAMES, builtin, holds, \
@@ -44,6 +48,15 @@ def _to_field(field, value, env):
     return value
 
 
+def _excluded_by(e, name, value, field, env):
+    """The first excluded expression of parameter name that value equals
+    when evaluated in env, or None."""
+    for src in e["excluded"].get(name, ()):
+        if value == eval_str(src, field, env):
+            return src
+    return None
+
+
 def _converted(e, values, field):
     """Parameter map as field elements, with constraints enforced."""
     values = dict(values or {})
@@ -57,11 +70,10 @@ def _converted(e, values, field):
             raise ValueError("missing parameter: " + name)
         conv[name] = _to_field(field, values[name], env)
         env[name] = conv[name]
-    for name, avoided in e["excluded"].items():
-        for src in avoided:
-            if conv[name] == eval_str(src, field, env):
-                raise ValueError(
-                    "constraint violation: %s != %s" % (name, src))
+    for name in e["excluded"]:
+        src = _excluded_by(e, name, conv[name], field, env)
+        if src is not None:
+            raise ValueError("constraint violation: %s != %s" % (name, src))
     return conv, env
 
 
@@ -177,6 +189,13 @@ _POOL = tuple(range(1, 40))
 _LAMBDA_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
+def _relation_images(params, exprs, field, vals):
+    env = field_env(field)
+    for nm, v in vals.items():
+        env[nm] = _to_field(field, v, field_env(field))
+    return {nm: eval_str(src, field, env) for nm, src in zip(params, exprs)}
+
+
 def _admissible(e, values):
     try:
         _converted(e, values, QQ)
@@ -196,25 +215,19 @@ def sample_parameters(entry_id: str, count=3, seed=0):
     out = []
     for s in range(count):
         vals = {}
+        env = field_env(QQ)
         pos = 0
         for name in params:
             seq = _LAMBDA_POOL if name == "lambda" else _POOL
             k = seed + s + (0 if name == "lambda" else pos)
             for _ in range(60):
-                trial = dict(vals)
-                trial[name] = seq[k % len(seq)]
-                ok = True
-                env = field_env(QQ)
-                env.update(trial)
-                for avoided in e["excluded"].get(name, ()):
-                    if trial[name] == eval_str(avoided, QQ, env):
-                        ok = False
-                if ok:
+                env[name] = seq[k % len(seq)]
+                if _excluded_by(e, name, env[name], QQ, env) is None:
                     break
                 k += 1
             else:
                 raise ValueError("no admissible sample found in budget")
-            vals[name] = seq[k % len(seq)]
+            vals[name] = env[name]
             if name != "lambda":
                 pos += 1
         if not _admissible(e, vals):
@@ -224,10 +237,7 @@ def sample_parameters(entry_id: str, count=3, seed=0):
     for rid, exprs, fname in tables.RELATIONS:
         if rid != entry_id or fname != "Q":
             continue
-        env = field_env(QQ)
-        env.update(out[0])
-        partner = {nm: eval_str(src, QQ, env)
-                   for nm, src in zip(params, exprs)}
+        partner = _relation_images(params, exprs, QQ, out[0])
         if partner != out[0] and partner not in out and \
                 _admissible(e, partner):
             out.append(partner)
@@ -277,7 +287,21 @@ class Report:
 
 
 def _params_str(vals):
-    return ",".join("%s=%s" % (nm, vals[nm]) for nm in sorted(vals))
+    """A sample point as "name=value,...", or "-" when it has no values."""
+    return ",".join("%s=%s" % (nm, vals[nm]) for nm in sorted(vals)) or "-"
+
+
+def _record(check_id, entry_id, problems, ok_detail):
+    """A fail record listing the problems, or a pass record with ok_detail
+    when there are none."""
+    return CheckRecord(check_id, entry_id, "", "fail" if problems else "pass",
+                       "; ".join(problems) or ok_detail)
+
+
+def _sampled(entry_id, count, seed, field):
+    """(values, algebra over field) for an id's first count samples."""
+    return [(vals, instantiate(entry_id, vals, field))
+            for vals in sample_parameters(entry_id, count, seed)[:count]]
 
 
 _COHOMOLOGY_LAMBDAS = (0, -1, 1, 2, 5)
@@ -294,7 +318,7 @@ def _base_cases(bid):
             for lam in _COHOMOLOGY_LAMBDAS]
 
 
-def _check_cohomology():
+def _check_cohomology(samples, max_search, seed):
     recs = []
     for bid in sorted(tables.SETUPS):
         dim_ok = True
@@ -304,8 +328,7 @@ def _check_cohomology():
         for vals, tag, a in _base_cases(bid):
             coh = cohomology(a, named_forms(bid, QQ, vals), cd_flags(bid))
             dim_bits.append("%sdim=%d" % (tag, coh.h2_dim))
-            if coh.h2_dim != 7:
-                dim_ok = False
+            dim_ok = dim_ok and coh.h2_dim == 7
             if not coh.canonical:
                 msg = "%s%s" % (tag, "; ".join(coh.notes) or "span mismatch")
                 if vals.get("lambda") in _SPECIAL_LAMBDAS:
@@ -315,13 +338,12 @@ def _check_cohomology():
         recs.append(CheckRecord("cohomology.dim", bid, "",
                                 "pass" if dim_ok else "fail",
                                 " ".join(dim_bits)))
-        if span_fail:
-            st, detail = "fail", "; ".join(span_fail)
-        elif span_noted:
-            st, detail = "noted", "special values: " + "; ".join(span_noted)
+        if span_noted and not span_fail:
+            recs.append(CheckRecord("cohomology.cd-span", bid, "", "noted",
+                                    "special values: " + "; ".join(span_noted)))
         else:
-            st, detail = "pass", "named span matches computed constraint space"
-        recs.append(CheckRecord("cohomology.cd-span", bid, "", st, detail))
+            recs.append(_record("cohomology.cd-span", bid, span_fail,
+                                "named span matches computed constraint space"))
     return recs
 
 
@@ -336,45 +358,35 @@ def _table_mismatch(a: Algebra, b: Algebra):
     return None
 
 
-def _check_reconstruction(samples, seed):
+def _check_reconstruction(samples, max_search, seed):
     recs = []
     for nid in sorted(tables.N4):
-        tried = 0
-        bad = None
-        for vals in sample_parameters(nid, samples, seed)[:samples]:
-            tried += 1
-            want = instantiate(nid, vals)
-            got = reconstruct(nid, vals)
-            miss = _table_mismatch(want, got)
+        cases = _sampled(nid, samples, seed, QQ)
+        problems = []
+        for vals, want in cases:
+            miss = _table_mismatch(want, reconstruct(nid, vals))
             if miss:
-                bad = "%s at %s" % (miss, _params_str(vals) or "-")
+                problems.append("%s at %s" % (miss, _params_str(vals)))
                 break
-        recs.append(CheckRecord(
-            "reconstruction.table", nid, "",
-            "fail" if bad else "pass",
-            bad or "rebuilt table matches at %d sample(s)" % tried))
+        recs.append(_record("reconstruction.table", nid, problems,
+                            "rebuilt table matches at %d sample(s)"
+                            % len(cases)))
     return recs
 
 
 def _span_e(field, dim, indices):
-    vecs = []
-    for k in indices:
-        v = zero_vec(field, dim)
-        v[k] = field.one
-        vecs.append(v)
-    return Subspace(field, dim, vecs)
+    unit = Matrix.identity(field, dim).rows
+    return Subspace(field, dim, [unit[k] for k in indices])
 
 
-def _check_invariants(samples, seed):
+def _check_invariants(samples, max_search, seed):
     recs = []
     for eid in all_ids():
         e = entry(eid)
+        cases = _sampled(eid, samples, seed, QQ)
         problems = []
-        tried = 0
-        for vals in sample_parameters(eid, samples, seed)[:samples]:
-            tried += 1
-            a = instantiate(eid, vals)
-            where = _params_str(vals) or "-"
+        for vals, a in cases:
+            where = _params_str(vals)
             if not a.is_nilpotent():
                 problems.append("not nilpotent at " + where)
                 continue
@@ -390,45 +402,30 @@ def _check_invariants(samples, seed):
                                 + where)
             if sat != e["expected"]["cd"]:
                 problems.append("cd status %s at %s" % (sat, where))
-        recs.append(CheckRecord(
-            "invariants.status", eid, "",
-            "fail" if problems else "pass",
-            "; ".join(problems) or
+        recs.append(_record(
+            "invariants.status", eid, problems,
             "nilpotent, annihilator and identity checks at %d sample(s)"
-            % tried))
+            % len(cases)))
     return recs
 
 
-def _evidence_str(verdict):
-    return "; ".join("%s: %s" % (k, v)
-                     for k, v in sorted(verdict.evidence.items()))
-
-
-def _relation_images(params, exprs, field, vals):
-    env = field_env(field)
-    for nm, v in vals.items():
-        env[nm] = _to_field(field, v, field_env(field))
-    return {nm: eval_str(src, field, env) for nm, src in zip(params, exprs)}
-
-
-def _check_relations(max_search, seed):
+def _check_relations(samples, max_search, seed):
     recs = []
     for rid, exprs, fname in tables.RELATIONS:
         field = FIELDS[fname]
-        e = entry(rid)
+        params = entry(rid)["params"]
         good = 0
         detail = []
-        for vals in sample_parameters(rid, 2, seed)[:2]:
-            lhs = instantiate(rid, vals, field)
-            rhs_vals = _relation_images(e["params"], exprs, field, vals)
-            rhs = instantiate(rid, rhs_vals, field)
+        for vals, lhs in _sampled(rid, 2, seed, field):
+            rhs = instantiate(
+                rid, _relation_images(params, exprs, field, vals), field)
             verdict = iso_search(lhs, rhs, max_search=max_search)
             if verdict.isomorphic:
                 good += 1
-                detail.append("witness at %s" % (_params_str(vals) or "-"))
+                detail.append("witness at %s" % _params_str(vals))
             else:
                 detail.append("NO witness at %s (%s)" % (
-                    _params_str(vals) or "-", verdict.kind))
+                    _params_str(vals), verdict.kind))
         recs.append(CheckRecord(
             "relations.witness", rid,
             ",".join(exprs), "pass" if good == 2 else "fail",
@@ -436,22 +433,16 @@ def _check_relations(max_search, seed):
     for id1, id2 in tables.DISTINCT_PAIRS:
         a = instantiate(id1, sample_parameters(id1, 1, seed)[0])
         b = instantiate(id2, sample_parameters(id2, 1, seed)[0])
-        diff = first_difference(a, b)
-        pair = "%s|%s" % (id1, id2)
-        if diff:
-            recs.append(CheckRecord("relations.distinct", pair, "", "pass",
-                                    "fingerprint: " + diff))
-            continue
         verdict = iso_search(a, b, max_search=max_search)
         if verdict.isomorphic:
-            recs.append(CheckRecord("relations.distinct", pair, "", "fail",
-                                    "unexpected isomorphism witness"))
+            st, detail = "fail", "unexpected isomorphism witness"
         elif verdict.isomorphic is False:
-            recs.append(CheckRecord("relations.distinct", pair, "", "pass",
-                                    "separated by " + verdict.component))
+            st, detail = "pass", "fingerprint: " + verdict.component
         else:
-            recs.append(CheckRecord("relations.distinct", pair, "",
-                                    "undecided", _evidence_str(verdict)))
+            st, detail = "undecided", "; ".join(
+                "%s: %s" % kv for kv in sorted(verdict.evidence.items()))
+        recs.append(CheckRecord("relations.distinct", "%s|%s" % (id1, id2),
+                                "", st, detail))
     recs.append(CheckRecord(
         "relations.stubs", "-", "", "noted",
         "%d stored symmetry statements reference external ids and are not "
@@ -464,33 +455,23 @@ def _alia_spaces(a: Algebra):
 
 
 def _expected_alia(field, dim_count):
-    n = 3
-    if dim_count == 9:
-        idx = [r * n + c for r in range(n) for c in range(n)]
-    else:
-        idx = [r * n + c for r in range(n) for c in range(n)
-               if (r, c) != (2, 2)]
-    return _span_e(field, n * n, idx)
+    """All nine coordinates of a form on a 3-dim base, or all but (3, 3)."""
+    return _span_e(field, 9, [k for k in range(9) if dim_count == 9 or k != 8])
 
 
-def _check_corollaries(samples, seed):
+def _check_corollaries(samples, max_search, seed):
     recs = []
-    sampled = {eid: [(vals, instantiate(eid, vals)) for vals in
-                     sample_parameters(eid, samples, seed)[:samples]]
-               for eid in all_ids()}
+    sampled = {eid: _sampled(eid, samples, seed, QQ) for eid in all_ids()}
     for eid in all_ids():
-        bad = None
-        tried = 0
+        problems = []
         for vals, a in sampled[eid]:
-            tried += 1
             if not holds(a, builtin("jacobi_commutator")):
-                bad = "commutator fails its closing identity at %s" % (
-                    _params_str(vals) or "-")
+                problems.append("commutator fails its closing identity at "
+                                + _params_str(vals))
                 break
-        recs.append(CheckRecord(
-            "corollary.lie-admissible", eid, "",
-            "fail" if bad else "pass",
-            bad or "commutator identity at %d sample(s)" % tried))
+        recs.append(_record("corollary.lie-admissible", eid, problems,
+                            "commutator identity at %d sample(s)"
+                            % len(sampled[eid])))
     for bid in sorted(tables.ALIA_DIMS) + ["CD3_04"]:
         problems = []
         for vals, tag, a in _base_cases(bid):
@@ -504,17 +485,16 @@ def _check_corollaries(samples, seed):
             if s0 != _expected_alia(a.field, want_dim):
                 problems.append("%sspace is not the expected %d-dim span"
                                 % (tag, want_dim))
-        recs.append(CheckRecord(
-            "corollary.alia-cocycles", bid, "",
-            "fail" if problems else "pass",
-            "; ".join(problems) or "three coinciding spaces of expected span"))
+        recs.append(_record("corollary.alia-cocycles", bid, problems,
+                            "three coinciding spaces of expected span"))
     for nid in sorted(tables.N4):
         e = entry(nid)
         cond = tables.ALIA_EXCLUDED.get(nid, "absent")
         cases = list(sampled[nid])
         if isinstance(cond, tuple):
+            at = eval_str(cond[1], QQ, {})
             special = dict(cases[0][0])
-            special[cond[0]] = eval_str(cond[1], QQ, {})
+            special[cond[0]] = at
             if _admissible(e, special):
                 cases.append((special, instantiate(nid, special)))
         problems = []
@@ -525,40 +505,35 @@ def _check_corollaries(samples, seed):
             elif cond is None:
                 excluded = True
             else:
-                env = field_env(QQ)
-                excluded = vals[cond[0]] != eval_str(cond[1], QQ, env)
+                excluded = vals[cond[0]] != at
             if is_alia == excluded:
                 problems.append("at %s: alia=%s but exclusion list says %s"
-                                % (_params_str(vals) or "-", is_alia,
+                                % (_params_str(vals), is_alia,
                                    "excluded" if excluded else "kept"))
-        recs.append(CheckRecord(
-            "corollary.alia-class", nid, "",
-            "fail" if problems else "pass",
-            "; ".join(problems) or "%d case(s) agree with the exclusion list"
-            % len(cases)))
+        recs.append(_record("corollary.alia-class", nid, problems,
+                            "%d case(s) agree with the exclusion list"
+                            % len(cases)))
     return recs
 
 
-SCOPES = ("cohomology", "reconstruction", "invariants", "relations",
-          "corollaries")
+_SCOPE_CHECKS = {
+    "cohomology": _check_cohomology,
+    "reconstruction": _check_reconstruction,
+    "invariants": _check_invariants,
+    "relations": _check_relations,
+    "corollaries": _check_corollaries,
+}
+SCOPES = tuple(_SCOPE_CHECKS)
 
 
 def verify_catalog(scope="all", samples=3, max_search=300000,
                    seed=0) -> Report:
     """Run the requested verification scope and collect one record per check."""
-    if scope != "all" and scope not in SCOPES:
+    if scope != "all" and scope not in _SCOPE_CHECKS:
         raise ValueError("unknown scope: %s" % scope)
     recs = []
-    if scope in ("cohomology", "all"):
-        recs += _check_cohomology()
-    if scope in ("reconstruction", "all"):
-        recs += _check_reconstruction(samples, seed)
-    if scope in ("invariants", "all"):
-        recs += _check_invariants(samples, seed)
-    if scope in ("relations", "all"):
-        recs += _check_relations(max_search, seed)
-    if scope in ("corollaries", "all"):
-        recs += _check_corollaries(samples, seed)
+    for name in SCOPES if scope == "all" else (scope,):
+        recs += _SCOPE_CHECKS[name](samples, max_search, seed)
     return Report(scope, recs)
 
 

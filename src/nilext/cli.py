@@ -301,9 +301,10 @@ def cmd_verify_catalog(args):
     return 0 if report.ok else 1
 
 
-MAX_SEARCH_HELP = ("bound on the candidates of a search, the values per "
-                   "coordinate to the power dim x generators; the pruned "
-                   "search visits fewer nodes")
+MAX_SEARCH = dict(type=int, default=300000,
+                  help="bound on the candidates of a search, the values per "
+                       "coordinate to the power dim x generators; the pruned "
+                       "search visits fewer nodes")
 
 
 def build_parser():
@@ -325,8 +326,6 @@ def build_parser():
                            help='form literal, e.g. "D(1,3)" or "2*N(1)+N(4)"')
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
-        p.add_argument("--max-search", type=int, default=300000,
-                       help=MAX_SEARCH_HELP)
 
     p = sub.add_parser("info", help="show a catalog entry")
     p.add_argument("id")
@@ -353,12 +352,14 @@ def build_parser():
     p.add_argument("id1")
     p.add_argument("id2")
     common(p, params2=True)
+    p.add_argument("--max-search", **MAX_SEARCH)
     p.set_defaults(run=cmd_iso)
 
     p = sub.add_parser("orbits",
                        help="automorphism orbits on form lines (F2/F3/F5/F7)")
     p.add_argument("id")
     common(p)
+    p.add_argument("--max-search", **MAX_SEARCH)
     p.set_defaults(run=cmd_orbits)
 
     p = sub.add_parser("verify-catalog", help="run the verification scopes")
@@ -368,8 +369,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "structured"),
                    default="text")
-    p.add_argument("--max-search", type=int, default=300000,
-                   help=MAX_SEARCH_HELP)
+    p.add_argument("--max-search", **MAX_SEARCH)
     p.set_defaults(run=cmd_verify_catalog)
     return ap
 

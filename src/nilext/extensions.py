@@ -213,12 +213,6 @@ class CohomologyBasis:
                                             cols).inverse()
         return self._solver.rows[self.b2.dim:]
 
-    def coords_mod_b2(self, theta: BilinearForm):
-        """Coordinates of theta's class on the representative basis."""
-        flat = theta.flatten()
-        return [sum((c * x for c, x in zip(row, flat) if c and x),
-                    self.algebra.field.zero) for row in self.coord_rows()]
-
     def form_from_coords(self, coords):
         f = self.algebra.field
         n = self.algebra.dim

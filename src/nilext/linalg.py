@@ -201,9 +201,9 @@ def add_row(field, pivots, row):
     if not row:
         return False
     p = min(row)
-    if row[p] != field.one:
-        inv = divide(field.one, row[p])
-        row = {j: inv * x for j, x in row.items()}
+    lead = row[p]
+    if lead != field.one:
+        row = {j: divide(x, lead) for j, x in row.items()}
     for prow in pivots.values():
         if p in prow:
             _subtract(prow, prow[p], row)

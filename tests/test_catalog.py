@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -153,6 +154,52 @@ def test_verify_reconstruction_scope():
     rep = catalog.verify_catalog("reconstruction", samples=2)
     assert len(rep.records) == 66
     assert rep.ok
+
+
+def _records_of(entry_id, scopes, samples):
+    """{check id: (status, detail)} of one entry's records in the scopes."""
+    return {r.check_id: (r.status, r.detail) for scope in scopes
+            for r in catalog.verify_catalog(scope, samples=samples).records
+            if r.entry_id == entry_id}
+
+
+def test_changed_product_fails_reconstruction_and_alia_class(monkeypatch):
+    """N4_63 with e1 e2 = -e3 in place of e3 is not the extension its
+    construction data builds, and it satisfies the anti-Lie identities
+    although the exclusion list excludes it."""
+    e = copy.deepcopy(tables.N4["N4_63"])
+    e["products"] = tuple((i, j, "-1" if (i, j) == (1, 2) else src, k)
+                          for i, j, src, k in e["products"])
+    monkeypatch.setitem(tables.N4, "N4_63", e)
+    recs = _records_of("N4_63", ("reconstruction", "corollaries"), 1)
+    assert recs["reconstruction.table"] == (
+        "fail", "e1*e2 gives ['0', '0', '-1', '0'] vs ['0', '0', '1', '0'] "
+                "at -")
+    assert recs["corollary.alia-class"] == (
+        "fail", "at -: alia=True but exclusion list says excluded")
+    assert recs["corollary.lie-admissible"] == (
+        "pass", "commutator identity at 1 sample(s)")
+
+
+def test_wrong_expected_values_fail_invariants(monkeypatch):
+    """Every problem at every sample is listed, in sample order."""
+    e = copy.deepcopy(tables.N4["N4_01"])
+    e["expected"] = {"ann": 2, "cd": True}
+    monkeypatch.setitem(tables.N4, "N4_01", e)
+    recs = _records_of("N4_01", ("reconstruction", "invariants"), 2)
+    assert recs["invariants.status"] == (
+        "fail", "Ann dim 1 at alpha=1; cd status False at alpha=1; "
+                "Ann dim 1 at alpha=2; cd status False at alpha=2")
+    assert recs["reconstruction.table"] == (
+        "pass", "rebuilt table matches at 2 sample(s)")
+
+
+def test_all_scope_runs_each_scope_in_order():
+    whole = catalog.verify_catalog("all", samples=1, seed=1)
+    parts = [r for scope in catalog.SCOPES
+             for r in catalog.verify_catalog(scope, samples=1, seed=1).records]
+    assert whole.scope == "all"
+    assert whole.records == parts
 
 
 def test_report_serialization_deterministic():

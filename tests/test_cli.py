@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from nilext import catalog, cli, tables
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -249,6 +251,19 @@ def test_usage_error_from_argparse():
         assert False
     except SystemExit as exc:
         assert exc.code == 2
+
+
+def test_max_search_only_on_commands_that_search(capsys):
+    for argv in (["info", "N4_17"], ["cohomology", "CD3_01"],
+                 ["extend", "CD3_01", "--cocycle", "N(1)"],
+                 ["classify-line", "CD3_01", "--cocycle", "N(1)"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--max-search", "5"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --max-search 5" in \
+            capsys.readouterr().err
+    code, out, _ = run(capsys, "iso", "N4_17", "N4_18", "--max-search", "5")
+    assert code == 0 and "distinct" in out
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -42,6 +42,13 @@ def specialize(bid, field, env):
     return m
 
 
+def coords_mod_b2(coh, theta):
+    """Coordinates of theta's class on coh's representative basis."""
+    flat = theta.flatten()
+    return [sum((c * x for c, x in zip(row, flat) if c and x),
+                coh.algebra.field.zero) for row in coh.coord_rows()]
+
+
 def _random_invertible(f, rng, n):
     while True:
         m = Matrix(f, [[f.random(rng) for _ in range(n)] for _ in range(n)])
@@ -470,7 +477,7 @@ def _reference_census(a, coh):
     auts = aut_group_fp(a)
     maps = []
     for phi in auts:
-        cols = [coh.coords_mod_b2(act(phi, rep)) for rep in coh.reps]
+        cols = [coords_mod_b2(coh, act(phi, rep)) for rep in coh.reps]
         maps.append(Matrix.from_cols(f, cols))
     parent = list(range(len(lines)))
 
@@ -598,7 +605,7 @@ def test_census_f5_orbit_count_is_burnside_average():
         census = orbit_census_fp(a, coh)
         fixed = 0
         for phi in aut_group_fp(a):
-            m = Matrix.from_cols(f, [coh.coords_mod_b2(act(phi, rep))
+            m = Matrix.from_cols(f, [coords_mod_b2(coh, act(phi, rep))
                                      for rep in coh.reps])
             for lam in f.elements()[1:]:
                 d = coh.h2_dim - (m - Matrix.identity(f, coh.h2_dim).scale(
